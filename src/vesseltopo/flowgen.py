@@ -398,7 +398,10 @@ def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
         blob = json.load(fh)
     if blob.get("version") != 1:
         raise InvalidConfig(f"unsupported checkpoint version {blob.get('version')}")
-    config = TrainConfig(**blob["config"])
+    try:
+        config = TrainConfig(**blob["config"])
+    except TypeError as exc:  # unknown or missing config keys
+        raise InvalidConfig(f"bad checkpoint config: {exc}") from None
     model = VelocityModel(hidden=config.hidden, seed=0)
     model.params = [
         [np.asarray(entry["weight"], dtype=np.float64),

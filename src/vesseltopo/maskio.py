@@ -27,7 +27,8 @@ def as_gray(data) -> GrayImage:
     img = np.asarray(data, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionMismatch(f"image must be 2-D, got shape {img.shape}")
-    if img.size and (img.min() < 0.0 or img.max() > 1.0):
+    # written so that NaN, which fails every comparison, is rejected too
+    if img.size and not (img.min() >= 0.0 and img.max() <= 1.0):
         raise ValueError("image intensities must lie in [0, 1]")
     return img
 

@@ -4,14 +4,20 @@ Connectivity convention: 8-connected foreground, 4-connected background.
 This is the standard dual pair and matches the closed cubical complex used
 for the Euler characteristic, where corner-touching pixels share a vertex.
 
-* ``label_components``  - deterministic flood-fill labeling (4- or 8-conn)
+* ``label_components``  - deterministic run-based union-find labeling
+  (4- or 8-conn), labels in first-touched row-major order
 * ``betti_numbers``     - beta0, beta1 and Euler characteristic chi = V-E+F
+  (Gray's bit-quad count)
 * ``count_loops``       - beta1 (equals the number of bounded 4-connected
   background components, the duality used as a test oracle)
 * ``beta0_number_error`` / ``beta0_matching_error`` - global and spatially
   matched component-count discrepancies between two masks
-* ``skeletonize``       - topology-preserving thinning by sequential removal
-  of simple points, endpoints retained
+* ``skeletonize``       - topology-preserving thinning that removes simple
+  points from per-pass candidate lists in a fixed row-major order,
+  endpoints retained
+
+All kernels are plain numpy plus short Python loops over runs and thinning
+candidates; nothing is compiled.
 """
 
 from __future__ import annotations
@@ -21,19 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maskio import BinaryMask, as_mask, check_same_shape
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 # 8-neighbour offsets in row-major order; bit i of a neighbourhood code
 # corresponds to _OFFS8[i].
@@ -103,130 +96,176 @@ def _build_luts() -> tuple[np.ndarray, np.ndarray]:
 SIMPLE_LUT, _DELETABLE_LUT = _build_luts()
 
 
-@njit(cache=True)
-def _label_flood(mask, conn8):
-    h, w = mask.shape
-    labels = np.zeros((h, w), np.int32)
-    stack_y = np.empty(h * w, np.int32)
-    stack_x = np.empty(h * w, np.int32)
+def _build_pass_status(deletable: np.ndarray) -> np.ndarray:
+    """Thinning decisions that no earlier deletion in the same pass can change.
+
+    Entry ``early << 8 | code`` describes a candidate whose pass-start
+    neighbourhood is ``code`` and whose earlier-visited neighbours in the set
+    ``early`` (bits 0-3: NW, N, NE, W) are themselves candidates, so any of
+    them may already be gone: 1 if it is deletable whichever of them are
+    gone, 0 if it is deletable in no such case, 2 if that depends on which.
+    """
+    # outcome[s, c]: is code c deletable once the neighbours in s are gone
+    outcome = deletable[np.arange(256) & ~np.arange(16)[:, None]]
+    status = np.empty((16, 256), dtype=np.uint8)
+    for early in range(16):
+        rows = outcome[[s for s in range(16) if s & ~early == 0]]
+        status[early] = np.where(rows.all(0), 1, np.where(rows.any(0), 2, 0))
+    return status.ravel()
+
+
+_PASS_STATUS = _build_pass_status(_DELETABLE_LUT)
+
+# Gray's bit-quad weights: a 2x2 window read as TL + 2*TR + 4*BL + 8*BR
+# adds +1 with one foreground pixel, -1 with three and -2 for a diagonal
+# pair; the sum over all windows is 4 * chi for 8-connected foreground.
+_QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
+
+
+def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int]:
+    """Run-based two-pass labeling (Wu, Otoo & Suzuki 2005).
+
+    Returns the run id of every pixel (meaningful on foreground only), the
+    component label of each run id, and the component count. Runs are
+    numbered 1..n in row-major order and labels follow the first-touched
+    row-major order.
+    """
+    # Flat row-major copy with one background pixel in front and one after
+    # every row, so that flat neighbours never wrap across rows.
+    h, w = m.shape
+    width = w + 1
+    buf = np.zeros(h * width + 1, dtype=bool)
+    buf[1:].reshape(h, width)[:, :w] = m
+    f = buf[1:]
+    starts = f > buf[:-1]
+    run = starts.cumsum(dtype=np.int32)
+    n = int(run[-1]) if run.size else 0
+    # One pixel pair per pair of touching runs: where their vertical
+    # overlap begins or, under 8-adjacency, where they meet at a corner.
+    both = buf[:-width] & buf[width:]
+    first = both[1:] > both[:-1]
+    upper = run[:-width][first].tolist()
+    lower = run[width:][first].tolist()
+    if conn8:
+        ends = f[:-1] > f[1:]
+        down_right = ends[:-width] & starts[width + 1:]
+        down_left = starts[1:-width] & ends[width:]
+        upper += run[:-width - 1][down_right].tolist() + run[1:-width][down_left].tolist()
+        lower += run[width + 1:][down_right].tolist() + run[width:-1][down_left].tolist()
+    # Union-find hooking the larger root under the smaller: every root is
+    # its component's first run, i.e. its first pixel in row-major order,
+    # and parent[i] <= i throughout.
+    parent = list(range(n + 1))
+    for a, b in zip(upper, lower):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # Number the roots in increasing order; every other run takes the
+    # label of its smaller parent.
+    label_of = [0] * (n + 1)
     count = 0
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or labels[sy, sx] != 0:
-                continue
+    for i in range(1, n + 1):
+        if parent[i] == i:
             count += 1
-            labels[sy, sx] = count
-            stack_y[0] = sy
-            stack_x[0] = sx
-            top = 1
-            while top > 0:
-                top -= 1
-                y = stack_y[top]
-                x = stack_x[top]
-                for dy in range(-1, 2):
-                    for dx in range(-1, 2):
-                        if dy == 0 and dx == 0:
-                            continue
-                        if not conn8 and dy != 0 and dx != 0:
-                            continue
-                        ny = y + dy
-                        nx = x + dx
-                        if 0 <= ny < h and 0 <= nx < w:
-                            if mask[ny, nx] and labels[ny, nx] == 0:
-                                labels[ny, nx] = count
-                                stack_y[top] = ny
-                                stack_x[top] = nx
-                                top += 1
-    return labels, count
+            label_of[i] = count
+        else:
+            label_of[i] = label_of[parent[i]]
+    return run.reshape(h, width)[:, :w], label_of, count
 
 
-@njit(cache=True)
-def _code_at(mask, y, x):
-    # bit order matches _OFFS8
-    h, w = mask.shape
-    code = 0
-    if y > 0:
-        if x > 0 and mask[y - 1, x - 1]:
-            code |= 1
-        if mask[y - 1, x]:
-            code |= 2
-        if x < w - 1 and mask[y - 1, x + 1]:
-            code |= 4
-    if x > 0 and mask[y, x - 1]:
-        code |= 8
-    if x < w - 1 and mask[y, x + 1]:
-        code |= 16
-    if y < h - 1:
-        if x > 0 and mask[y + 1, x - 1]:
-            code |= 32
-        if mask[y + 1, x]:
-            code |= 64
-        if x < w - 1 and mask[y + 1, x + 1]:
-            code |= 128
-    return code
-
-
-@njit(cache=True)
-def _thin_inplace(mask, deletable_lut):
-    # Four boundary passes (N, S, E, W) per sweep; candidates are taken from
-    # a pass-start snapshot and re-verified against the live mask so that
-    # sequential deletions never break topology. Row-major order fixes ties.
-    h, w = mask.shape
-    dys = (-1, 1, 0, 0)
-    dxs = (0, 0, 1, -1)
+def _thin(m: np.ndarray) -> np.ndarray:
+    # Sequential thinning: N, S, E and W boundary passes repeat until a
+    # whole sweep deletes nothing. A pass takes its candidates from the
+    # pass-start mask and visits them in row-major order, deleting each one
+    # that is deletable in the live mask. Only a candidate's earlier-visited
+    # neighbours (NW, N, NE, W) can differ from the pass-start mask, so every
+    # decision _PASS_STATUS settles is applied at once and the loop visits
+    # only the rest. Works on a flat copy with a one-pixel background frame.
+    h, w = m.shape
+    width = w + 2
+    padded = np.zeros((h + 2, width), dtype=bool)
+    padded[1:-1, 1:-1] = m
+    f = padded.ravel()
+    live = f.view(np.uint8).data  # scalar access to f for the loop
+    offsets = np.array([dy * width + dx for dy, dx in _OFFS8])
+    deletable = _DELETABLE_LUT.tolist()
+    in_pass = np.zeros(f.size, dtype=bool)
+    fg = np.flatnonzero(f)
     changed = True
     while changed:
         changed = False
-        for d in range(4):
-            dy = dys[d]
-            dx = dxs[d]
-            snapshot = mask.copy()
-            for y in range(h):
-                for x in range(w):
-                    if not snapshot[y, x]:
-                        continue
-                    ny = y + dy
-                    nx = x + dx
-                    if 0 <= ny < h and 0 <= nx < w and snapshot[ny, nx]:
-                        continue  # not a boundary pixel in this direction
-                    if deletable_lut[_code_at(mask, y, x)]:
-                        mask[y, x] = False
-                        changed = True
+        for step in (-width, width, 1, -1):
+            cand = fg[~f[fg + step]]
+            nbrs = cand[:, None] + offsets
+            code = np.packbits(f[nbrs], axis=1, bitorder="little")[:, 0]
+            in_pass[cand] = True
+            early = np.packbits(in_pass[nbrs[:, :4]], axis=1, bitorder="little")[:, 0]
+            in_pass[cand] = False
+            status = _PASS_STATUS[early.astype(np.intp) << 8 | code]
+            settled = cand[status == 1]
+            f[settled] = False
+            n_gone = settled.size
+            undecided = status == 2
+            for q, c in zip(cand[undecided].tolist(), code[undecided].tolist()):
+                if not live[q - width - 1]:
+                    c &= ~1
+                if not live[q - width]:
+                    c &= ~2
+                if not live[q - width + 1]:
+                    c &= ~4
+                if not live[q - 1]:
+                    c &= ~8
+                if deletable[c]:
+                    live[q] = 0
+                    n_gone += 1
+            if n_gone:
+                changed = True
+                fg = fg[f[fg]]
+    return padded[1:-1, 1:-1].copy()
 
 
 def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeling:
     """Label connected components under 4- or 8-adjacency.
 
+    Horizontal runs are merged by union-find over the run pairs that touch.
     Components are numbered 1..count in the order their first pixel is
     reached by a row-major scan, which makes labelings reproducible.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
-    labels, count = _label_flood(m, connectivity == 8)
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:].astype(np.int64)
-    return ComponentLabeling(labels=labels, count=int(count), sizes=sizes)
+    run, label_of, count = _label_runs(m, connectivity == 8)
+    # Look labels up on foreground pixels only: a full-size lookup would
+    # need a full-size intp copy of the run ids.
+    fg_labels = np.array(label_of, dtype=np.int32)[run[m]]
+    labels = np.zeros(m.shape, dtype=np.int32)
+    labels[m] = fg_labels
+    sizes = np.bincount(fg_labels, minlength=count + 1)[1:].astype(np.int64)
+    return ComponentLabeling(labels=labels, count=count, sizes=sizes)
 
 
 def euler_characteristic(mask: BinaryMask) -> int:
-    """V - E + F of the closed cubical complex covered by foreground pixels."""
+    """V - E + F of the closed cubical complex covered by foreground pixels.
+
+    Counted with Gray's (1971) bit-quads over the zero-padded mask.
+    """
     m = as_mask(mask)
     h, w = m.shape
-    verts = np.zeros((h + 1, w + 1), dtype=bool)
-    verts[:-1, :-1] |= m
-    verts[:-1, 1:] |= m
-    verts[1:, :-1] |= m
-    verts[1:, 1:] |= m
-    hedges = np.zeros((h + 1, w), dtype=bool)
-    hedges[:-1, :] |= m
-    hedges[1:, :] |= m
-    vedges = np.zeros((h, w + 1), dtype=bool)
-    vedges[:, :-1] |= m
-    vedges[:, 1:] |= m
-    v = int(verts.sum())
-    e = int(hedges.sum()) + int(vedges.sum())
-    f = int(m.sum())
-    return v - e + f
+    width = w + 2
+    p = np.zeros((h + 2, width), dtype=np.uint8)
+    p[1:-1, 1:-1] = m
+    # Flat windows that wrap across rows hold only padding and weigh 0.
+    flat = p.ravel()
+    pairs = flat[:-1] + 2 * flat[1:]
+    quads = pairs[:-width] + 4 * pairs[width:]
+    return int(np.bincount(quads, minlength=16) @ _QUAD_WEIGHTS) // 4
 
 
 def betti_numbers(mask: BinaryMask) -> TopologySummary:
@@ -236,7 +275,7 @@ def betti_numbers(mask: BinaryMask) -> TopologySummary:
     """
     m = as_mask(mask)
     euler = euler_characteristic(m)
-    beta0 = label_components(m, 8).count
+    beta0 = _label_runs(m, True)[2]
     return TopologySummary(beta0=beta0, beta1=beta0 - euler, euler=euler)
 
 
@@ -276,18 +315,34 @@ def beta0_matching_error(pred: BinaryMask, gt: BinaryMask) -> int:
     for code in codes:
         adj[int(code) // (n_g + 1) - 1].append(int(code) % (n_g + 1) - 1)
 
+    # Kuhn's augmenting-path search from each pred component, depth-first
+    # with an explicit stack so that long alternating chains cannot reach
+    # the interpreter's recursion limit.
     match_of_g = [-1] * n_g
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_of_g[v] == -1 or augment(match_of_g[v], seen):
-                    match_of_g[v] = u
-                    return True
-        return False
-
-    matched = sum(augment(u, [False] * n_g) for u in range(n_p))
+    seen_by = [-1] * n_g  # the search that last visited each gt component
+    matched = 0
+    for root in range(n_p):
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []  # gt component each stack entry moves to
+        while stack:
+            u, untried = stack[-1]
+            for v in untried:
+                if seen_by[v] != root:
+                    seen_by[v] = root
+                    break
+            else:
+                stack.pop()
+                if taken:
+                    taken.pop()
+                continue
+            if match_of_g[v] == -1:
+                match_of_g[v] = u
+                for (owner, _), moved in zip(stack, taken):
+                    match_of_g[moved] = owner
+                matched += 1
+                break
+            taken.append(v)
+            stack.append((match_of_g[v], iter(adj[match_of_g[v]])))
     return n_p + n_g - 2 * matched
 
 
@@ -295,12 +350,13 @@ def skeletonize(mask: BinaryMask) -> BinaryMask:
     """Thin a mask to a 1-pixel-wide skeleton with identical Betti numbers.
 
     Repeatedly deletes simple points (endpoints excluded) in alternating
-    N, S, E, W boundary sub-iterations until no pixel changes. The result
-    is always a subset of the input.
+    N, S, E, W boundary sub-iterations until no pixel changes. Each
+    sub-iteration lists its candidates from the mask at its start and
+    deletes them one at a time in row-major order, re-checking each against
+    the deletions already made, so the result is fully determined. It is
+    always a subset of the input.
     """
-    m = as_mask(mask).copy()
-    _thin_inplace(m, _DELETABLE_LUT)
-    return m
+    return _thin(as_mask(mask))
 
 
 def is_simple_point(mask: BinaryMask, y: int, x: int) -> bool:

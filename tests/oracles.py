@@ -3,7 +3,8 @@
 These deliberately share no code with the library paths they check:
 labeling is a naive recursive flood fill, the Euler characteristic is
 counted from explicit vertex/edge/face sets, and loop counts come from
-the bounded-background duality.
+the bounded-background duality. The reference thinner is the plain
+pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly.
 """
 
 import sys
@@ -75,3 +76,55 @@ def betti_delta_after_removal(mask, y, x):
     b0a, b1a = betti(mask)
     b0b, b1b = betti(removed)
     return b0b - b0a, b1b - b1a
+
+
+def _code_at(mask, y, x):
+    # bit order matches vesseltopo.topology._OFFS8
+    h, w = mask.shape
+    code = 0
+    if y > 0:
+        if x > 0 and mask[y - 1, x - 1]:
+            code |= 1
+        if mask[y - 1, x]:
+            code |= 2
+        if x < w - 1 and mask[y - 1, x + 1]:
+            code |= 4
+    if x > 0 and mask[y, x - 1]:
+        code |= 8
+    if x < w - 1 and mask[y, x + 1]:
+        code |= 16
+    if y < h - 1:
+        if x > 0 and mask[y + 1, x - 1]:
+            code |= 32
+        if mask[y + 1, x]:
+            code |= 64
+        if x < w - 1 and mask[y + 1, x + 1]:
+            code |= 128
+    return code
+
+
+def _thin_inplace(mask, deletable_lut):
+    # Four boundary passes (N, S, E, W) per sweep; candidates are taken from
+    # a pass-start snapshot and re-verified against the live mask so that
+    # sequential deletions never break topology. Row-major order fixes ties.
+    h, w = mask.shape
+    dys = (-1, 1, 0, 0)
+    dxs = (0, 0, 1, -1)
+    changed = True
+    while changed:
+        changed = False
+        for d in range(4):
+            dy = dys[d]
+            dx = dxs[d]
+            snapshot = mask.copy()
+            for y in range(h):
+                for x in range(w):
+                    if not snapshot[y, x]:
+                        continue
+                    ny = y + dy
+                    nx = x + dx
+                    if 0 <= ny < h and 0 <= nx < w and snapshot[ny, nx]:
+                        continue  # not a boundary pixel in this direction
+                    if deletable_lut[_code_at(mask, y, x)]:
+                        mask[y, x] = False
+                        changed = True

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. Timed criteria measure algorithmic runtime after a small
-warm-up call that absorbs one-time JIT compilation.
+warm-up call that absorbs one-time set-up costs.
 
 Criterion 8 trains ten small models and takes several minutes; everything
 else finishes in well under two minutes combined.

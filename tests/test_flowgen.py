@@ -270,6 +270,17 @@ def test_checkpoint_roundtrip(tmp_path, triple):
     assert np.array_equal(a, b)
 
 
+def test_checkpoint_unknown_config_key(tmp_path, triple):
+    result = train(TrainConfig(steps=2, batch_size=1, seed=4, hidden=4), [triple])
+    path = tmp_path / "ck.json"
+    save_checkpoint(result.model, result.config, path)
+    blob = json.loads(path.read_text())
+    blob["config"]["momentum"] = 0.9
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InvalidConfig):
+        load_checkpoint(path)
+
+
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99}))

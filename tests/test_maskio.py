@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesseltopo.errors import FormatError
-from vesseltopo.maskio import load_image, load_mask, save_image, save_mask, threshold
+from vesseltopo.maskio import as_gray, load_image, load_mask, save_image, save_mask, threshold
 
 
 def _write(path, payload: bytes):
@@ -123,3 +123,14 @@ def test_save_image_roundtrip_quantized(tmp_path):
     save_image(img, p)
     back = load_image(p)
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+def test_as_gray_rejects_out_of_range_and_non_finite(tmp_path, bad):
+    img = np.full((2, 3), 0.5)
+    img[1, 2] = bad
+    with pytest.raises(ValueError):
+        as_gray(img)
+    with pytest.raises(ValueError):
+        save_image(img, tmp_path / "bad.pgm")
+    assert not (tmp_path / "bad.pgm").exists()

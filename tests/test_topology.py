@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesseltopo.errors import DimensionMismatch
+from vesseltopo.synth import VesselParams, generate_vessel
 from vesseltopo.topology import (
+    _DELETABLE_LUT,
     SIMPLE_LUT,
     TopologySummary,
     beta0_matching_error,
@@ -19,6 +21,7 @@ from vesseltopo.topology import (
 )
 
 from oracles import (
+    _thin_inplace,
     betti_delta_after_removal,
     bounded_background_components,
     brute_cubical_counts,
@@ -88,6 +91,38 @@ def test_label_matches_oracle_random_8x8():
             ref_labels, ref_count = naive_flood_labels(m, conn)
             assert lab.count == ref_count
             assert np.array_equal(lab.labels, ref_labels)
+
+
+def _staircase(n, step, width):
+    """Horizontal bars of ``width`` pixels, each starting ``step`` columns
+    right of the bar above: with step == width consecutive bars meet only at
+    a corner, with step == width + 1 they do not touch at all."""
+    m = np.zeros((n, step * (n - 1) + width), dtype=bool)
+    for i in range(n):
+        m[i, step * i:step * i + width] = True
+    return m
+
+
+@pytest.mark.parametrize("name, m", [
+    ("empty", np.zeros((5, 7), dtype=bool)),
+    ("full", np.ones((6, 4), dtype=bool)),
+    ("row", np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool)),
+    ("column", np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool).T),
+    ("single", np.ones((1, 1), dtype=bool)),
+    ("checkerboard", (np.add.outer(np.arange(7), np.arange(9)) % 2).astype(bool)),
+    ("staircase down-right", _staircase(6, 3, 3)),
+    ("staircase down-left", _staircase(6, 3, 3)[:, ::-1]),
+    ("staircase apart", _staircase(6, 4, 3)),
+    ("staircase 1px", np.eye(7, dtype=bool)[:, ::-1]),
+])
+def test_label_edge_cases_match_oracle(name, m):
+    for conn in (4, 8):
+        lab = label_components(m, conn)
+        ref_labels, ref_count = naive_flood_labels(m, conn)
+        assert lab.count == ref_count, (name, conn)
+        assert lab.labels.dtype == np.int32
+        assert np.array_equal(lab.labels, ref_labels), (name, conn)
+        assert lab.sizes.tolist() == np.bincount(ref_labels.ravel())[1:].tolist()
 
 
 # --------------------------- Betti numbers ------------------------------- #
@@ -186,6 +221,25 @@ def test_matching_error_zero_implies_equal_counts():
             assert betti_numbers(p).beta0 == betti_numbers(g).beta0
 
 
+def test_matching_error_long_alternating_chain():
+    # 1,500 components per side in a chain: pred component i overlaps gt
+    # components i - 1 and i. The leftmost pred component is labeled last,
+    # so its augmenting path runs through the whole chain.
+    n = 1500
+    pred = np.zeros((12, 6 * n + 1), dtype=bool)
+    gt = np.zeros_like(pred)
+    for i in range(n):
+        pred[5, 6 * i:6 * i + 4] = True
+        gt[5, 6 * i + 3:6 * i + 7] = True
+        if i:
+            pred[:5, 6 * i] = True
+    assert label_components(pred).count == label_components(gt).count == n
+    assert beta0_matching_error(pred, gt) == 0
+    assert beta0_matching_error(gt, pred) == 0
+    gt[5, 3:7] = False  # drop gt component 0: exactly one pred is left over
+    assert beta0_matching_error(pred, gt) == 1
+
+
 def test_matching_error_empty_sides():
     empty = np.zeros((3, 3), dtype=bool)
     full = np.ones((3, 3), dtype=bool)
@@ -231,6 +285,44 @@ def test_skeleton_idempotent():
         m = rng.random((12, 12)) < 0.6
         skel = skeletonize(m)
         assert np.array_equal(skeletonize(skel), skel)
+
+
+def _reference_skeleton(m):
+    ref = np.array(m, dtype=bool)
+    _thin_inplace(ref, _DELETABLE_LUT)
+    return ref
+
+
+def _assert_skeleton_matches_reference(m):
+    skel = skeletonize(m)
+    assert skel.dtype == np.bool_ and skel.shape == m.shape
+    assert np.array_equal(skel, _reference_skeleton(m))
+
+
+def test_skeleton_matches_reference_exhaustive_3x3():
+    bits = np.arange(9)
+    for code in range(512):
+        _assert_skeleton_matches_reference(((code >> bits) & 1).astype(bool).reshape(3, 3))
+
+
+def test_skeleton_matches_reference_random_strips_and_squares():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        row = rng.random((1, n)) < rng.uniform(0.3, 0.9)
+        _assert_skeleton_matches_reference(row)
+        _assert_skeleton_matches_reference(row.T)
+    for _ in range(100):
+        _assert_skeleton_matches_reference(rng.random((16, 16)) < rng.uniform(0.3, 0.9))
+
+
+def test_skeleton_matches_reference_on_vessel_scenes():
+    for i, side in enumerate((48, 64, 80, 96)):
+        params = VesselParams(width=side, height=side, n_trees=1 + i % 2,
+                              n_loops=i % 3, radius_root=(2.0, 2.4)[i % 2],
+                              seed=4200 + i)
+        _, mask, _ = generate_vessel(params)
+        _assert_skeleton_matches_reference(mask)
 
 
 # --------------------------- simple points ------------------------------- #
