@@ -14,8 +14,9 @@ import os
 import sys
 
 from .errors import NonFiniteLoss, VesselTopoError
-from .flowgen import TrainConfig, load_checkpoint, refine_eval, train
-from .maskio import load_image, load_mask
+from .flowgen import (TrainConfig, load_checkpoint, refine_eval, save_checkpoint,
+                      train, write_loss_curve)
+from .maskio import load_image, load_mask, write_atomic
 from .metrics import format_csv, metric_report
 from .synth import VesselParams, emit_samples
 from .taskgen import TASK_KINDS, DatasetConfig, build_dataset, verify_answers
@@ -56,10 +57,7 @@ def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _load_triples(data_dir, limit=None) -> list:
@@ -158,14 +156,12 @@ def cmd_train(args) -> None:
         "seed": 0,
         "hidden": 16,
     })
-    config = TrainConfig(
-        weighting=not args.no_adaptive,
-        checkpoint_path=args.checkpoint,
-        loss_curve_path=args.loss_curve,
-        **merged,
-    )
+    config = TrainConfig(weighting=not args.no_adaptive, **merged)
     triples = _load_triples(args.data, args.limit)
     result = train(config, triples)
+    save_checkpoint(result.model, config, args.checkpoint)
+    write_loss_curve(result.losses, args.loss_curve
+                     or os.path.splitext(args.checkpoint)[0] + "_loss.csv")
     print(f"trained {config.steps} steps on {len(triples)} triples, "
           f"final loss {result.losses[-1]:.6g}")
     print(args.checkpoint)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -28,7 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
-from .maskio import GrayImage, as_gray, as_mask, check_same_shape, threshold
+from .maskio import (GrayImage, as_gray, as_mask, check_same_shape, threshold,
+                     write_atomic)
 from .metrics import MetricReport, aggregate_reports, format_csv, metric_report
 from .topology import betti_numbers
 
@@ -115,8 +115,16 @@ def weighted_flow_loss(v_pred: np.ndarray, v_target: np.ndarray,
     v_pred = np.asarray(v_pred, dtype=np.float64)
     v_target = np.asarray(v_target, dtype=np.float64)
     check_same_shape(v_pred, v_target)
+    return _loss_and_dv(v_pred, v_target, w)[0]
+
+
+def _loss_and_dv(v_pred: np.ndarray, v_target: np.ndarray,
+                 w: TokenWeightMap) -> tuple[float, np.ndarray]:
+    """The weighted flow loss and its gradient dL/dv_pred, weights held fixed."""
     wb = _broadcast_weights(w, v_pred.shape)
-    return float(np.mean((wb * (v_pred - v_target)) ** 2))
+    resid = v_pred - v_target
+    loss = float(np.mean((wb * resid) ** 2))
+    return loss, 2.0 * (wb ** 2) * resid / resid.size
 
 
 # ------------------------------ the model -------------------------------- #
@@ -212,10 +220,7 @@ def training_loss_and_grads(model: VelocityModel, z: np.ndarray, tau: float,
     trained objective: weights are constants wrt the parameters.
     """
     v_pred, caches = model.forward_cached(z, tau, cond)
-    wb = _broadcast_weights(w, v_pred.shape)
-    resid = v_pred - np.asarray(v_target, dtype=np.float64)
-    loss = float(np.mean((wb * resid) ** 2))
-    d_v = 2.0 * (wb ** 2) * resid / resid.size
+    loss, d_v = _loss_and_dv(v_pred, np.asarray(v_target, dtype=np.float64), w)
     return loss, model.backward(caches, d_v)
 
 
@@ -250,6 +255,8 @@ class _Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters; a checkpoint stores exactly these fields."""
+
     steps: int
     batch_size: int = 4
     learning_rate: float = 1e-3
@@ -258,8 +265,6 @@ class TrainConfig:
     weighting: bool = True
     seed: int = 0
     hidden: int = 16
-    checkpoint_path: str | None = None
-    loss_curve_path: str | None = None
 
     def validate(self) -> None:
         if self.steps < 1:
@@ -317,6 +322,9 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
     decode (identity + clamp to [0,1]), derive the pixel error map against
     the gt, turn it into token weights (held constant for the gradient), and
     apply one adaptive-moment update of the weighted flow loss.
+
+    Pure computation: nothing is written. Persist the result with
+    ``save_checkpoint`` and ``write_loss_curve``.
     """
     config.validate()
     prepared = _prepare_triples(triples, config.patch_size)
@@ -340,10 +348,9 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
             y_img = np.clip(z0, 0.0, 1.0)
             e_map = error_map(x, y_img)
             wmap = token_weights(e_map, config.patch_size, lam)
-            wb = _broadcast_weights(wmap, v_pred.shape)
-            resid = v_pred - v_t
-            batch_loss += float(np.mean((wb * resid) ** 2))
-            grads = model.backward(caches, 2.0 * (wb ** 2) * resid / resid.size)
+            loss, d_v = _loss_and_dv(v_pred, v_t, wmap)
+            batch_loss += loss
+            grads = model.backward(caches, d_v)
             if grad_acc is None:
                 grad_acc = grads
             else:
@@ -358,27 +365,17 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
             raise NonFiniteLoss(f"loss became {batch_loss} at step {step}")
         opt.step(model.params, grad_acc)
         losses.append(batch_loss)
-    if config.checkpoint_path:
-        save_checkpoint(model, config, config.checkpoint_path)
-    curve_path = config.loss_curve_path
-    if curve_path is None and config.checkpoint_path:
-        curve_path = os.path.splitext(config.checkpoint_path)[0] + "_loss.csv"
-    if curve_path:
-        write_loss_curve(losses, curve_path)
     return TrainResult(model=model, losses=losses, config=config)
 
 
 def write_loss_curve(losses: Sequence[float], path) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{loss:.8g}\n")
-    os.replace(tmp, path)
+    """CSV with a ``step,loss`` header and one row per optimizer step."""
+    rows = "".join(f"{i},{loss:.8g}\n" for i, loss in enumerate(losses))
+    write_atomic(path, ("step,loss\n" + rows).encode("utf-8"))
 
 
 def save_checkpoint(model: VelocityModel, config: TrainConfig, path) -> None:
-    """Versioned JSON checkpoint with config and the flat parameter list."""
+    """Versioned JSON checkpoint: hyperparameters and flat parameters, no paths."""
     blob = {
         "version": 1,
         "widths": list(model.widths),
@@ -387,10 +384,7 @@ def save_checkpoint(model: VelocityModel, config: TrainConfig, path) -> None:
             {"weight": w.tolist(), "bias": b.tolist()} for w, b in model.params
         ],
     }
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(blob, sort_keys=True).encode("utf-8"))
 
 
 def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
@@ -399,8 +393,12 @@ def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
     if blob.get("version") != 1:
         raise InvalidConfig(f"unsupported checkpoint version {blob.get('version')}")
     try:
-        config = TrainConfig(**blob["config"])
-    except TypeError as exc:  # unknown or missing config keys
+        stored = {**blob["config"]}
+        # older checkpoints also stored their own output paths; drop them
+        stored.pop("checkpoint_path", None)
+        stored.pop("loss_curve_path", None)
+        config = TrainConfig(**stored)
+    except TypeError as exc:  # not a mapping, unknown or missing keys
         raise InvalidConfig(f"bad checkpoint config: {exc}") from None
     model = VelocityModel(hidden=config.hidden, seed=0)
     model.params = [
@@ -463,8 +461,5 @@ def refine_eval(model: VelocityModel, triples: Sequence, steps: int = 16,
     if csv_path:
         rows.append(("input_mean", agg_in))
         rows.append(("refined_mean", agg_out))
-        tmp = f"{csv_path}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(format_csv(rows, mean_row=False))
-        os.replace(tmp, csv_path)
+        write_atomic(csv_path, format_csv(rows, mean_row=False).encode("utf-8"))
     return agg_in, agg_out

@@ -8,6 +8,8 @@ Conventions used throughout the toolkit:
 Files are binary PGM (P5) only: dependency-free and bit-exact. Writes use
 maxval 255 with foreground stored as 255 and background as 0, so that
 ``threshold(load_image(p), 0.5)`` round-trips any saved mask identically.
+Every output file of the package (images, manifests, CSVs, checkpoints)
+is written through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,27 @@ def as_mask(data) -> BinaryMask:
     mask = np.asarray(data)
     if mask.ndim != 2:
         raise DimensionMismatch(f"mask must be 2-D, got shape {mask.shape}")
-    return mask.astype(bool)
+    # bool input is returned as is, not copied: callers only read the mask
+    # or copy it before editing
+    return mask.astype(bool, copy=False)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that readers never see a partial file.
+
+    The bytes go to ``<path>.tmp<pid>`` in the same directory, which is then
+    renamed over ``path`` in one step: a crash midway leaves the previous
+    file, not a truncated one.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -110,11 +127,7 @@ def save_image(img: GrayImage, path) -> None:
     height, width = img.shape
     data = np.rint(img * 255.0).astype(np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, header + data.tobytes())
 
 
 def save_mask(mask: BinaryMask, path) -> None:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InsufficientStructure, InvalidParams
-from .maskio import BinaryMask, GrayImage, as_mask, save_image, save_mask
+from .maskio import BinaryMask, GrayImage, as_mask, save_image, save_mask, write_atomic
 from .topology import TopologySummary, betti_numbers, label_components, skeletonize
 
 _MAX_SCENE_ATTEMPTS = 100
@@ -471,47 +471,48 @@ def emit_samples(out_dir, params: VesselParams, count: int,
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     sample_seeds = np.random.SeedSequence(params.seed).spawn(count)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for i, sample_ss in enumerate(sample_seeds):
-            sid = f"{i:05d}"
-            seeds = sample_ss.generate_state(2 + n_bad)
-            scene_params = VesselParams(**{**asdict(params),
-                                           "seed": int(seeds[0])})
-            image, gt, summary = generate_vessel(scene_params)
-            save_image(image, os.path.join(out_dir, f"{sid}_img.pgm"))
-            save_mask(gt, os.path.join(out_dir, f"{sid}_gt.pgm"))
-            rng = np.random.default_rng(seeds[1])
-            bad_entries = []
-            for j in range(n_bad):
-                family_order = list(rng.permutation(sorted(_PERTURB_FAMILIES)))
-                k = int(rng.integers(1, max_k + 1))
-                bad = None
-                for family in family_order:
-                    try:
-                        bad, log = _PERTURB_FAMILIES[family](gt, k, int(seeds[2 + j]))
-                        break
-                    except InsufficientStructure:
-                        continue
-                if bad is None:
-                    raise InsufficientStructure(
-                        f"sample {sid}: no perturbation family applicable"
-                    )
-                bad_path = f"{sid}_bad{j}.pgm"
-                save_mask(bad, os.path.join(out_dir, bad_path))
-                bad_entries.append({
-                    "path": bad_path,
-                    "kind": log.kind,
-                    "sites": [list(s) for s in log.sites],
-                    "beta0_delta": log.expected_beta0_delta,
-                    "beta1_delta": log.expected_beta1_delta,
-                })
-            record = {
-                "id": sid,
-                "image": f"{sid}_img.pgm",
-                "gt": f"{sid}_gt.pgm",
-                "betti": {"beta0": summary.beta0, "beta1": summary.beta1},
-                "bad": bad_entries,
-                "params": asdict(scene_params),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    lines = []
+    for i, sample_ss in enumerate(sample_seeds):
+        sid = f"{i:05d}"
+        seeds = sample_ss.generate_state(2 + n_bad)
+        scene_params = VesselParams(**{**asdict(params),
+                                       "seed": int(seeds[0])})
+        image, gt, summary = generate_vessel(scene_params)
+        save_image(image, os.path.join(out_dir, f"{sid}_img.pgm"))
+        save_mask(gt, os.path.join(out_dir, f"{sid}_gt.pgm"))
+        rng = np.random.default_rng(seeds[1])
+        bad_entries = []
+        for j in range(n_bad):
+            family_order = list(rng.permutation(sorted(_PERTURB_FAMILIES)))
+            k = int(rng.integers(1, max_k + 1))
+            bad = None
+            for family in family_order:
+                try:
+                    bad, log = _PERTURB_FAMILIES[family](gt, k, int(seeds[2 + j]))
+                    break
+                except InsufficientStructure:
+                    continue
+            if bad is None:
+                raise InsufficientStructure(
+                    f"sample {sid}: no perturbation family applicable"
+                )
+            bad_path = f"{sid}_bad{j}.pgm"
+            save_mask(bad, os.path.join(out_dir, bad_path))
+            bad_entries.append({
+                "path": bad_path,
+                "kind": log.kind,
+                "sites": [list(s) for s in log.sites],
+                "beta0_delta": log.expected_beta0_delta,
+                "beta1_delta": log.expected_beta1_delta,
+            })
+        record = {
+            "id": sid,
+            "image": f"{sid}_img.pgm",
+            "gt": f"{sid}_gt.pgm",
+            "betti": {"beta0": summary.beta0, "beta1": summary.beta1},
+            "bad": bad_entries,
+            "params": asdict(scene_params),
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    write_atomic(manifest_path, "".join(lines).encode("utf-8"))
     return manifest_path

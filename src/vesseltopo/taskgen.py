@@ -38,6 +38,7 @@ from .maskio import (
     load_mask,
     save_image,
     save_mask,
+    write_atomic,
 )
 from .synth import (
     VesselParams,
@@ -469,9 +470,8 @@ def build_dataset(config: DatasetConfig) -> str:
             records.append(record)
             index += 1
     manifest_path = os.path.join(config.out_dir, "manifest.jsonl")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json() + "\n")
+    lines = "".join(record.to_json() + "\n" for record in records)
+    write_atomic(manifest_path, lines.encode("utf-8"))
     return manifest_path
 
 
@@ -486,6 +486,7 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
     for attempt_ss in branch_ss.spawn(30):
         seeds = _spawned_ints(attempt_ss, 8)
         rng = np.random.default_rng(seeds[0])
+        extra = {}  # masks saved beside the image and the gt
         try:
             if kind == "structure_judgement":
                 structure = ("loop", "component>1")[(i // 2) % 2]
@@ -497,8 +498,6 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                 (image, gt, _), params = _scene(cfg, split, seeds[1], n_trees, n_loops)
                 record = gen_judgement(image, gt, structure, seeds[2],
                                        img_path("img"), img_path("gt"))
-                save_image(image, os.path.join(out, img_path("img")))
-                save_mask(gt, os.path.join(out, img_path("gt")))
             elif kind == "structure_counting":
                 structure = ("components", "loops")[i % 2]
                 if structure == "components":
@@ -508,8 +507,6 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                 (image, gt, _), params = _scene(cfg, split, seeds[1], n_trees, n_loops)
                 record = gen_counting(image, gt, structure, seeds[2],
                                       img_path("img"), img_path("gt"))
-                save_image(image, os.path.join(out, img_path("img")))
-                save_mask(gt, os.path.join(out, img_path("gt")))
             elif kind == "quality_judgement":
                 want_good = i % 2 == 0
                 (image, gt, _), params = _scene(cfg, split, seeds[1],
@@ -524,9 +521,7 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                                      img_path("gt"))
                 if record.answer != ("good" if want_good else "poor"):
                     continue
-                save_image(image, os.path.join(out, img_path("img")))
-                save_mask(gt, os.path.join(out, img_path("gt")))
-                save_mask(cand, os.path.join(out, img_path("cand")))
+                extra = {"cand": cand}
             elif kind == "better_choice":
                 want = "AB"[i % 2]
                 (image, gt, _), params = _scene(cfg, split, seeds[1], 1, 0)
@@ -540,10 +535,7 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                                     img_path("cand1"), img_path("gt"))
                 if record.answer != want:
                     continue
-                save_image(image, os.path.join(out, img_path("img")))
-                save_mask(gt, os.path.join(out, img_path("gt")))
-                save_mask(cand1, os.path.join(out, img_path("cand0")))
-                save_mask(cand2, os.path.join(out, img_path("cand1")))
+                extra = {"cand0": cand1, "cand1": cand2}
             elif kind == "refinement":
                 (image, gt, _), params = _scene(cfg, split, seeds[1],
                                                 int(rng.integers(1, 3)),
@@ -553,13 +545,14 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                 record = gen_refinement(image, bad, gt, seeds[2],
                                         img_path("img"), img_path("bad"),
                                         img_path("gt"))
-                save_image(image, os.path.join(out, img_path("img")))
-                save_mask(gt, os.path.join(out, img_path("gt")))
-                save_mask(bad, os.path.join(out, img_path("bad")))
+                extra = {"bad": bad}
             else:
                 raise InvalidConfig(f"unknown task kind {kind!r}")
         except (InsufficientStructure, RejectedTie, DegenerateInput):
             continue
+        save_image(image, os.path.join(out, img_path("img")))
+        for name, m in {"gt": gt, **extra}.items():
+            save_mask(m, os.path.join(out, img_path(name)))
         provenance = dict(record.provenance)
         provenance.update({"split": split, "scene": asdict(params)})
         return TaskRecord(record.task_kind, record.image_paths, record.prompt,

@@ -94,6 +94,10 @@ def test_train_and_refine_pipeline(capsys, tmp_path):
     assert main(["synth", "--out", str(data), "--count", "2", "--seed", "2",
                  "--width", "32", "--height", "32", "--radius", "1.6",
                  "--depth", "3"]) == 0
+    assert main(["taskgen", "--out", str(tmp_path / "ds"), "--per-kind", "1",
+                 "--width", "32", "--height", "32", "--seed", "1"]) == 0
+    assert main(["metrics", "--pred", str(data), "--gt", str(data),
+                 "--out", str(tmp_path / "metrics.csv")]) == 0
     ck = tmp_path / "ck.json"
     assert main(["train", "--data", str(data), "--checkpoint", str(ck),
                  "--steps", "30", "--batch", "2", "--hidden", "6",
@@ -105,6 +109,35 @@ def test_train_and_refine_pipeline(capsys, tmp_path):
     assert csv_out.read_text().startswith("sample,dice,cldice,beta0_num,beta0_mat")
     out = capsys.readouterr().out
     assert "refined:" in out
+    # every output goes through a temporary file that must be renamed away
+    assert not list(tmp_path.rglob("*.tmp*"))
+
+
+@pytest.fixture
+def train_data(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--count", "1", "--seed", "2",
+                 "--width", "32", "--height", "32", "--radius", "1.6",
+                 "--depth", "3"]) == 0
+    return data
+
+
+def test_train_writes_checkpoint_and_default_loss_curve(capsys, tmp_path, train_data):
+    ck = tmp_path / "model.json"
+    assert main(["train", "--data", str(train_data), "--checkpoint", str(ck),
+                 "--steps", "1", "--batch", "1", "--hidden", "4"]) == 0
+    assert ck.exists()
+    assert (tmp_path / "model_loss.csv").read_text().startswith("step,loss\n")
+
+
+def test_train_checkpoint_holds_no_paths(capsys, tmp_path, train_data):
+    ck = (tmp_path / "out" / "model.json").absolute()
+    ck.parent.mkdir()
+    assert main(["train", "--data", str(train_data), "--checkpoint", str(ck),
+                 "--steps", "1", "--batch", "1", "--hidden", "4"]) == 0
+    text = ck.read_text()
+    for part in ck.parts[1:]:
+        assert part not in text, part
 
 
 def test_train_config_file_with_flag_override(capsys, tmp_path):

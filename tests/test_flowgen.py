@@ -172,14 +172,10 @@ def test_lambda_zero_equals_weighting_off(triple):
     assert r_lam0.losses == r_off.losses  # bit-for-bit
 
 
-def test_one_step_run_smoke(tmp_path, triple):
-    ck = tmp_path / "model.json"
-    result = train(TrainConfig(steps=1, batch_size=1, seed=0, hidden=4,
-                               checkpoint_path=str(ck)), [triple])
+def test_one_step_run_smoke(triple):
+    result = train(TrainConfig(steps=1, batch_size=1, seed=0, hidden=4), [triple])
     assert len(result.losses) == 1
     assert np.isfinite(result.losses[0])
-    assert ck.exists()
-    assert (tmp_path / "model_loss.csv").read_text().startswith("step,loss\n")
 
 
 def test_training_reduces_loss(triple):
@@ -279,6 +275,19 @@ def test_checkpoint_unknown_config_key(tmp_path, triple):
     path.write_text(json.dumps(blob))
     with pytest.raises(InvalidConfig):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_legacy_output_paths_loads(tmp_path, triple):
+    result = train(TrainConfig(steps=2, batch_size=1, seed=4, hidden=4), [triple])
+    path = tmp_path / "ck.json"
+    save_checkpoint(result.model, result.config, path)
+    blob = json.loads(path.read_text())
+    blob["config"].update(checkpoint_path="/old/ck.json", loss_curve_path=None)
+    path.write_text(json.dumps(blob))
+    loaded, config = load_checkpoint(path)
+    assert config == result.config
+    assert all(np.array_equal(a, b) for la, lb in zip(loaded.params, result.model.params)
+               for a, b in zip(la, lb))
 
 
 def test_checkpoint_version_guard(tmp_path):

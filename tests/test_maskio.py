@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesseltopo.errors import FormatError
-from vesseltopo.maskio import as_gray, load_image, load_mask, save_image, save_mask, threshold
+from vesseltopo.maskio import (as_gray, as_mask, load_image, load_mask, save_image,
+                               save_mask, threshold)
+from vesseltopo.metrics import metric_report
+from vesseltopo.synth import (VesselParams, generate_vessel, perturb_dilate_noise,
+                              perturb_disconnect, perturb_holes, perturb_merge)
+from vesseltopo.topology import betti_numbers, label_components, skeletonize
 
 
 def _write(path, payload: bytes):
@@ -134,3 +139,19 @@ def test_as_gray_rejects_out_of_range_and_non_finite(tmp_path, bad):
     with pytest.raises(ValueError):
         save_image(img, tmp_path / "bad.pgm")
     assert not (tmp_path / "bad.pgm").exists()
+
+
+def test_as_mask_shares_bool_input_and_callers_leave_it_unchanged():
+    _, gt, _ = generate_vessel(VesselParams(width=64, height=64,
+                                            radius_root=2.0, seed=13))
+    keep = gt.copy()
+    assert as_mask(gt) is gt  # no copy of a bool mask
+    skeletonize(gt)
+    label_components(gt, 4)
+    label_components(gt, 8)
+    betti_numbers(gt)
+    metric_report(gt, gt)
+    perturb_dilate_noise(gt, seed=3)
+    for fn in (perturb_disconnect, perturb_merge, perturb_holes):
+        fn(gt, 1, seed=3)
+    assert np.array_equal(gt, keep)
