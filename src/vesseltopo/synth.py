@@ -67,30 +67,42 @@ class PerturbationLog:
     expected_beta1_delta: int | None
 
 
-def _stamp_disk(canvas: np.ndarray, cy: float, cx: float, r: float,
-                value: bool = True) -> None:
-    h, w = canvas.shape
-    y0 = max(0, int(math.floor(cy - r)))
-    y1 = min(h, int(math.ceil(cy + r)) + 1)
-    x0 = max(0, int(math.floor(cx - r)))
-    x1 = min(w, int(math.ceil(cx + r)) + 1)
-    if y0 >= y1 or x0 >= x1:
-        return
-    yy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
-    xx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
-    canvas[y0:y1, x0:x1][yy * yy + xx * xx <= r * r] = value
+def _disk_pixels(shape, cy, cx, r) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the in-canvas pixels within r[i] of (cy[i], cx[i]).
+
+    Covers every disk i in one pass; a pixel inside several disks is listed
+    once per disk. A pixel (y, x) is inside when
+    ``(y - cy)**2 + (x - cx)**2 <= r**2`` in float64, evaluated in that order.
+    Every such pixel lies in ``floor(c - r) .. ceil(c + r)``, so one box of
+    side ``2 * ceil(max r) + 3`` from ``floor(c - r)`` holds each disk.
+    """
+    h, w = shape
+    cy = np.asarray(cy, dtype=np.float64)
+    cx = np.asarray(cx, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    off = np.arange(2 * math.ceil(r.max()) + 3)
+    ys = np.floor(cy - r).astype(np.intp)[:, None] + off
+    xs = np.floor(cx - r).astype(np.intp)[:, None] + off
+    yy = ys - cy[:, None]
+    xx = xs - cx[:, None]
+    yy2 = yy * yy
+    xx2 = xx * xx
+    # off-canvas rows and columns get an infinite distance, never inside
+    yy2[(ys < 0) | (ys >= h)] = np.inf
+    xx2[(xs < 0) | (xs >= w)] = np.inf
+    k, a, b = np.nonzero(yy2[:, :, None] + xx2[:, None, :]
+                         <= (r * r)[:, None, None])
+    return ys[k, a], xs[k, b]
 
 
-def _stamp_tube(canvas: np.ndarray, p0, p1, r0: float, r1: float,
-                value: bool = True) -> None:
+def _stamp_tube(canvas: np.ndarray, p0, p1, r0: float, r1: float) -> None:
     """Stamp overlapping disks along the segment p0 -> p1 (radii lerped)."""
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
-    dist = float(np.hypot(*(p1 - p0)))
-    n = max(2, int(dist * 2) + 1)
-    for t in np.linspace(0.0, 1.0, n):
-        pos = p0 + t * (p1 - p0)
-        _stamp_disk(canvas, pos[0], pos[1], r0 + t * (r1 - r0), value)
+    d = p1 - p0
+    t = np.linspace(0.0, 1.0, max(2, int(float(np.hypot(*d)) * 2) + 1))
+    canvas[_disk_pixels(canvas.shape, p0[0] + t * d[0], p0[1] + t * d[1],
+                        r0 + t * (r1 - r0))] = True
 
 
 def _grow_tree(mask: np.ndarray, rng: np.random.Generator,
@@ -98,17 +110,25 @@ def _grow_tree(mask: np.ndarray, rng: np.random.Generator,
     h, w = mask.shape
     margin = params.radius_root + 2.0
     seg_len = 0.13 * min(h, w)
-    stack = [(np.asarray(origin, dtype=np.float64), float(direction), 1,
+    # Disk centres and radii of the whole tree; nothing reads the mask while
+    # the tree grows, so it is rasterised once at the end.
+    cys: list[float] = []
+    cxs: list[float] = []
+    rs: list[float] = []
+    stack = [(float(origin[0]), float(origin[1]), float(direction), 1,
               float(params.radius_root))]
     while stack:
-        pos, angle, depth, radius = stack.pop()
+        y, x, angle, depth, radius = stack.pop()
         n_steps = max(4, int(rng.uniform(0.8, 1.3) * seg_len))
         alive = True
         for _ in range(n_steps):
-            _stamp_disk(mask, pos[0], pos[1], radius)
+            cys.append(y)
+            cxs.append(x)
+            rs.append(radius)
             angle += rng.normal(0.0, 0.12)
-            pos = pos + np.array([math.sin(angle), math.cos(angle)])
-            if not (margin <= pos[0] < h - margin and margin <= pos[1] < w - margin):
+            y += math.sin(angle)
+            x += math.cos(angle)
+            if not (margin <= y < h - margin and margin <= x < w - margin):
                 alive = False
                 break
         if not alive or depth >= params.branch_depth:
@@ -116,11 +136,12 @@ def _grow_tree(mask: np.ndarray, rng: np.random.Generator,
         if rng.random() < params.branch_prob:
             spread = rng.uniform(0.35, 0.8)
             child_r = max(params.radius_min, radius * 0.78)
-            stack.append((pos, angle + spread, depth + 1, child_r))
-            stack.append((pos, angle - spread, depth + 1, child_r))
+            stack.append((y, x, angle + spread, depth + 1, child_r))
+            stack.append((y, x, angle - spread, depth + 1, child_r))
         else:
-            stack.append((pos, angle, depth + 1,
+            stack.append((y, x, angle, depth + 1,
                           max(params.radius_min, radius * 0.9)))
+    mask[_disk_pixels(mask.shape, cys, cxs, rs)] = True
 
 
 def _place_roots(rng: np.random.Generator, params: VesselParams) -> list:
@@ -191,7 +212,10 @@ def generate_vessel(params: VesselParams) -> tuple[GrayImage, BinaryMask, Topolo
     """
     params.validate()
     root_ss = np.random.SeedSequence(params.seed)
-    for scene_ss in root_ss.spawn(_MAX_SCENE_ATTEMPTS):
+    for _ in range(_MAX_SCENE_ATTEMPTS):
+        # children are numbered by spawn index, so spawning one per attempt
+        # gives the same sub-seeds as spawning all of them up front
+        scene_ss = root_ss.spawn(1)[0]
         # stream 0: root placement; 1..n_trees: one per tree (indices stay
         # stable when n_trees grows); then loop insertion, then background
         streams = scene_ss.spawn(params.n_trees + 3)
@@ -237,16 +261,13 @@ def _neighbor_count(mask: np.ndarray) -> np.ndarray:
 
 def _local_halfwidth(mask: np.ndarray, y: int, x: int, cap: int = 6) -> int:
     """Largest r <= cap such that the disk of radius r at (y, x) fits in mask."""
-    probe = np.zeros_like(mask)
-    best = 0
-    for r in range(1, cap + 1):
-        probe[:] = False
-        _stamp_disk(probe, float(y), float(x), float(r))
-        if not (probe & ~mask).any():
-            best = r
-        else:
-            break
-    return best
+    # The disks are nested, so the nearest in-canvas pixel outside the mask
+    # decides: radius r fits iff r*r is below its squared distance.
+    rows, cols = _disk_pixels(mask.shape, [y], [x], [cap])
+    miss = ~mask[rows, cols]
+    nearest = int(((rows[miss] - y) ** 2 + (cols[miss] - x) ** 2)
+                  .min(initial=cap * cap + 1))
+    return sum(r * r < nearest for r in range(1, cap + 1))
 
 
 def _skeleton_tangent(skel: np.ndarray, y: int, x: int,

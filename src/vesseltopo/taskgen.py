@@ -483,7 +483,8 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
     def img_path(name):
         return f"{sid}_{name}.pgm"
 
-    for attempt_ss in branch_ss.spawn(30):
+    for _ in range(30):
+        attempt_ss = branch_ss.spawn(1)[0]
         seeds = _spawned_ints(attempt_ss, 8)
         rng = np.random.default_rng(seeds[0])
         extra = {}  # masks saved beside the image and the gt

@@ -7,7 +7,8 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
 * ``label_components``  - deterministic run-based union-find labeling
   (4- or 8-conn), labels in first-touched row-major order
 * ``betti_numbers``     - beta0, beta1 and Euler characteristic chi = V-E+F
-  (Gray's bit-quad count)
+  (runs minus touching run pairs, from the same pass as beta0)
+* ``euler_characteristic`` - chi alone, by Gray's bit-quad count
 * ``count_loops``       - beta1 (equals the number of bounded 4-connected
   background components, the duality used as a test oracle)
 * ``beta0_number_error`` / ``beta0_matching_error`` - global and spatially
@@ -122,13 +123,13 @@ _PASS_STATUS = _build_pass_status(_DELETABLE_LUT)
 _QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
-def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int]:
+def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int, int]:
     """Run-based two-pass labeling (Wu, Otoo & Suzuki 2005).
 
     Returns the run id of every pixel (meaningful on foreground only), the
-    component label of each run id, and the component count. Runs are
-    numbered 1..n in row-major order and labels follow the first-touched
-    row-major order.
+    component label of each run id, the component count and the number of
+    pairs of touching runs. Runs are numbered 1..n in row-major order and
+    labels follow the first-touched row-major order.
     """
     # Flat row-major copy with one background pixel in front and one after
     # every row, so that flat neighbours never wrap across rows.
@@ -138,20 +139,21 @@ def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int]
     buf[1:].reshape(h, width)[:, :w] = m
     f = buf[1:]
     starts = f > buf[:-1]
-    run = starts.cumsum(dtype=np.int32)
+    run = np.add.accumulate(starts, dtype=np.int32)
     n = int(run[-1]) if run.size else 0
-    # One pixel pair per pair of touching runs: where their vertical
-    # overlap begins or, under 8-adjacency, where they meet at a corner.
-    both = buf[:-width] & buf[width:]
-    first = both[1:] > both[:-1]
+    # Under 8-adjacency two runs touch iff they overlap once each covers
+    # one more pixel to its right: the background pixel that ends it, which
+    # carries its run id. One pixel pair per pair of touching runs, where
+    # their overlap begins: where both rows become covered or a run starts
+    # in either row (covered runs can abut in a row).
+    cover = buf
+    if conn8:
+        cover = buf.copy()
+        cover[1:] |= buf[:-1]
+    both = cover[:-width] & cover[width:]
+    first = both[1:] & (~both[:-1] | starts[:-width] | starts[width:])
     upper = run[:-width][first].tolist()
     lower = run[width:][first].tolist()
-    if conn8:
-        ends = f[:-1] > f[1:]
-        down_right = ends[:-width] & starts[width + 1:]
-        down_left = starts[1:-width] & ends[width:]
-        upper += run[:-width - 1][down_right].tolist() + run[1:-width][down_left].tolist()
-        lower += run[width + 1:][down_right].tolist() + run[width:-1][down_left].tolist()
     # Union-find hooking the larger root under the smaller: every root is
     # its component's first run, i.e. its first pixel in row-major order,
     # and parent[i] <= i throughout.
@@ -177,7 +179,7 @@ def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int]
             label_of[i] = count
         else:
             label_of[i] = label_of[parent[i]]
-    return run.reshape(h, width)[:, :w], label_of, count
+    return run.reshape(h, width)[:, :w], label_of, count, len(upper)
 
 
 def _thin(m: np.ndarray) -> np.ndarray:
@@ -241,7 +243,7 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeli
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
-    run, label_of, count = _label_runs(m, connectivity == 8)
+    run, label_of, count, _ = _label_runs(m, connectivity == 8)
     # Look labels up on foreground pixels only: a full-size lookup would
     # need a full-size intp copy of the run ids.
     fg_labels = np.array(label_of, dtype=np.int32)[run[m]]
@@ -272,10 +274,13 @@ def betti_numbers(mask: BinaryMask) -> TopologySummary:
     """beta0 (8-conn components), beta1 (independent loops) and chi.
 
     beta1 is derived as beta0 - chi, exact for 8-connected foreground in 2-D.
+    chi comes from the same runs: each run is a closed bar, two runs meet
+    (in one segment or point) only if they touch across adjacent rows, and
+    no three runs meet, so by inclusion-exclusion chi = #runs - #touching
+    pairs, which equals ``euler_characteristic``.
     """
-    m = as_mask(mask)
-    euler = euler_characteristic(m)
-    beta0 = _label_runs(m, True)[2]
+    _, label_of, beta0, n_pairs = _label_runs(as_mask(mask), True)
+    euler = len(label_of) - 1 - n_pairs
     return TopologySummary(beta0=beta0, beta1=beta0 - euler, euler=euler)
 
 

@@ -1,17 +1,17 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately share no code with the library paths they check:
-labeling is a naive recursive flood fill, the Euler characteristic is
+labeling is a naive flood fill, the Euler characteristic is
 counted from explicit vertex/edge/face sets, and loop counts come from
 the bounded-background duality. The reference thinner is the plain
-pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly.
+pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly,
+and the reference rasteriser stamps one disk per call, as the vectorised
+``synth._disk_pixels`` must reproduce exactly.
 """
 
-import sys
+import math
 
 import numpy as np
-
-sys.setrecursionlimit(100_000)
 
 _OFFS = {
     8: [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
@@ -20,26 +20,36 @@ _OFFS = {
 
 
 def naive_flood_labels(mask, connectivity):
-    """Recursive flood fill, first-touched row-major label order."""
+    """Stack-based flood fill, first-touched row-major label order.
+
+    Works on a flat Python list of the mask framed by one background pixel,
+    so that every neighbour index stays in range: scalar reads of numpy
+    arrays cost several times more than list indexing, and the exhaustive
+    suites call this about 10^5 times.
+    """
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    labels = np.zeros((h, w), np.int32)
-    offs = _OFFS[connectivity]
-
-    def fill(y, x, lab):
-        labels[y, x] = lab
-        for dy, dx in offs:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == 0:
-                fill(ny, nx, lab)
-
+    width = w + 2
+    framed = np.zeros((h + 2, width), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    grid = framed.ravel().tolist()
+    labels = [0] * len(grid)
+    offs = [dy * width + dx for dy, dx in _OFFS[connectivity]]
     count = 0
-    for y in range(h):
-        for x in range(w):
-            if mask[y, x] and labels[y, x] == 0:
-                count += 1
-                fill(y, x, count)
-    return labels, count
+    for p in range(len(grid)):
+        if grid[p] and not labels[p]:
+            count += 1
+            labels[p] = count
+            stack = [p]
+            while stack:
+                q = stack.pop()
+                for o in offs:
+                    r = q + o
+                    if grid[r] and not labels[r]:
+                        labels[r] = count
+                        stack.append(r)
+    framed_labels = np.array(labels, dtype=np.int32).reshape(h + 2, width)
+    return framed_labels[1:-1, 1:-1], count
 
 
 def brute_cubical_counts(mask):
@@ -57,7 +67,8 @@ def bounded_background_components(mask):
     """4-connected background components that do not touch the image border."""
     mask = np.asarray(mask, dtype=bool)
     labels, count = naive_flood_labels(~mask, 4)
-    border = set(labels[0, :]) | set(labels[-1, :]) | set(labels[:, 0]) | set(labels[:, -1])
+    border = set(labels[0].tolist() + labels[-1].tolist()
+                 + labels[:, 0].tolist() + labels[:, -1].tolist())
     border.discard(0)
     return count - len(border)
 
@@ -128,3 +139,42 @@ def _thin_inplace(mask, deletable_lut):
                     if deletable_lut[_code_at(mask, y, x)]:
                         mask[y, x] = False
                         changed = True
+
+
+def _stamp_disk(canvas: np.ndarray, cy: float, cx: float, r: float,
+                value: bool = True) -> None:
+    h, w = canvas.shape
+    y0 = max(0, int(math.floor(cy - r)))
+    y1 = min(h, int(math.ceil(cy + r)) + 1)
+    x0 = max(0, int(math.floor(cx - r)))
+    x1 = min(w, int(math.ceil(cx + r)) + 1)
+    if y0 >= y1 or x0 >= x1:
+        return
+    yy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
+    xx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
+    canvas[y0:y1, x0:x1][yy * yy + xx * xx <= r * r] = value
+
+
+def stamp_tube(canvas, p0, p1, r0, r1):
+    """One disk per position along p0 -> p1 (radii lerped)."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    dist = float(np.hypot(*(p1 - p0)))
+    n = max(2, int(dist * 2) + 1)
+    for t in np.linspace(0.0, 1.0, n):
+        pos = p0 + t * (p1 - p0)
+        _stamp_disk(canvas, pos[0], pos[1], r0 + t * (r1 - r0))
+
+
+def local_halfwidth(mask, y, x, cap=6):
+    """Largest r <= cap whose disk at (y, x), one full-canvas probe per r, fits."""
+    probe = np.zeros_like(mask)
+    best = 0
+    for r in range(1, cap + 1):
+        probe[:] = False
+        _stamp_disk(probe, float(y), float(x), float(r))
+        if not (probe & ~mask).any():
+            best = r
+        else:
+            break
+    return best

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from vesseltopo import synth
 from vesseltopo.errors import InsufficientStructure, InvalidParams
 from vesseltopo.synth import (
     PerturbationLog,
     VesselParams,
+    _disk_pixels,
+    _local_halfwidth,
+    _stamp_tube,
     emit_samples,
     generate_vessel,
     perturb_dilate_noise,
@@ -15,6 +19,8 @@ from vesseltopo.synth import (
     perturb_merge,
 )
 from vesseltopo.topology import TopologySummary, betti_numbers
+
+from oracles import _stamp_disk, local_halfwidth, stamp_tube
 
 
 def straight_tube(width=40, thickness=5):
@@ -61,6 +67,96 @@ def test_generate_image_contrast():
     assert img[mask].mean() > 0.6
     assert img[~mask].mean() < 0.4
     assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def test_generate_spawns_one_sub_seed_per_attempt(monkeypatch):
+    attempts = []
+    place_roots = synth._place_roots
+
+    def counting(rng, params):
+        attempts.append(1)
+        return place_roots(rng, params)
+
+    monkeypatch.setattr(synth, "_place_roots", counting)
+    # a summary that never matches makes every attempt fail
+    monkeypatch.setattr(synth, "betti_numbers",
+                        lambda mask: TopologySummary(0, 0, 0))
+    with pytest.raises(InvalidParams):
+        generate_vessel(VesselParams(width=32, height=32, radius_root=2.0))
+    assert len(attempts) == 100
+    # spawn(1) n times gives the same children as spawn(n) at once
+    lazy = np.random.SeedSequence(7)
+    one_by_one = [lazy.spawn(1)[0].generate_state(4) for _ in range(5)]
+    up_front = [c.generate_state(4) for c in np.random.SeedSequence(7).spawn(5)]
+    assert np.array_equal(one_by_one, up_front)
+
+
+def _random_disks(rng, h, w, n):
+    """Centres from 8 px outside the canvas to 8 px beyond it, radii in
+    [1, 6]; half of them integral, so some pixels lie exactly on a rim."""
+    cy = rng.uniform(-8.0, h + 8.0, n)
+    cx = rng.uniform(-8.0, w + 8.0, n)
+    r = rng.uniform(1.0, 6.0, n)
+    whole = rng.random(n) < 0.5
+    return (np.where(whole, np.round(cy), cy), np.where(whole, np.round(cx), cx),
+            np.where(rng.random(n) < 0.5, np.round(r), r))
+
+
+def _reference_disks(shape, cy, cx, r):
+    ref = np.zeros(shape, dtype=bool)
+    for args in zip(cy, cx, r):
+        _stamp_disk(ref, *args)
+    return ref
+
+
+def test_disk_pixels_matches_reference_disks():
+    rng = np.random.default_rng(0)
+    shapes = [(1, 17), (17, 1), (1, 1), (12, 12), (20, 9)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 25, 2)) for _ in range(40)]
+    for shape in shapes:
+        h, w = shape
+        for n in (1, 2, 7):
+            cy, cx, r = _random_disks(rng, h, w, n)
+            got = np.zeros(shape, dtype=bool)
+            got[_disk_pixels(shape, cy, cx, r)] = True
+            assert np.array_equal(got, _reference_disks(shape, cy, cx, r)), \
+                (shape, cy, cx, r)
+    # disks straddling each border and disks wholly outside each side
+    h, w = 10, 14
+    cy = [0.0, 9.5, 4.3, 5.0, -7.0, 16.2, 4.0, 5.5, 4.5]
+    cx = [6.0, 7.2, -0.4, 13.6, 3.0, 5.0, -6.5, 20.1, 7.0]
+    r = [3.0, 2.5, 4.0, 1.7, 6.0, 6.0, 6.0, 6.0, 6.0]
+    got = np.zeros((h, w), dtype=bool)
+    got[_disk_pixels((h, w), cy, cx, r)] = True
+    assert np.array_equal(got, _reference_disks((h, w), cy, cx, r))
+    rows, cols = _disk_pixels((h, w), cy[4:8], cx[4:8], r[4:8])
+    assert rows.size == 0 and cols.size == 0
+
+
+def test_stamp_tube_matches_reference_tube():
+    rng = np.random.default_rng(1)
+    for shape in [(1, 30), (30, 1), (24, 24), (40, 17)]:
+        h, w = shape
+        for _ in range(25):
+            cy, cx, r = _random_disks(rng, h, w, 2)
+            got = np.zeros(shape, dtype=bool)
+            ref = np.zeros(shape, dtype=bool)
+            _stamp_tube(got, (cy[0], cx[0]), (cy[1], cx[1]), r[0], r[1])
+            stamp_tube(ref, (cy[0], cx[0]), (cy[1], cx[1]), r[0], r[1])
+            assert np.array_equal(got, ref), (shape, cy, cx, r)
+
+
+def test_local_halfwidth_matches_probe_loop():
+    rng = np.random.default_rng(2)
+    _, gt, _ = generate_vessel(VesselParams(width=48, height=48,
+                                            radius_root=3.7, seed=4))
+    masks = [gt, straight_tube(thickness=7), np.ones((5, 30), dtype=bool),
+             np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool)]
+    masks += [rng.random((20, 20)) < 0.9 for _ in range(5)]
+    for mask in masks:
+        for y, x in np.ndindex(mask.shape):
+            assert _local_halfwidth(mask, y, x) == local_halfwidth(mask, y, x), \
+                (mask.shape, y, x)
 
 
 def test_invalid_params():
