@@ -259,14 +259,24 @@ def _neighbor_count(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_halfwidth(mask: np.ndarray, y: int, x: int, cap: int = 6) -> int:
-    """Largest r <= cap such that the disk of radius r at (y, x) fits in mask."""
-    # The disks are nested, so the nearest in-canvas pixel outside the mask
-    # decides: radius r fits iff r*r is below its squared distance.
-    rows, cols = _disk_pixels(mask.shape, [y], [x], [cap])
-    miss = ~mask[rows, cols]
-    nearest = int(((rows[miss] - y) ** 2 + (cols[miss] - x) ** 2)
-                  .min(initial=cap * cap + 1))
+# Squared distance of every pixel of a (2 * cap + 1)^2 window from its
+# centre, for the largest half-width _local_halfwidth reports.
+_HALFWIDTH_CAP = 6
+_WINDOW_D2 = ((np.indices((2 * _HALFWIDTH_CAP + 1,) * 2) - _HALFWIDTH_CAP) ** 2).sum(0)
+
+
+def _local_halfwidth(mask: np.ndarray, y: int, x: int) -> int:
+    """Largest r <= 6 such that the disk of radius r at (y, x) fits in mask.
+
+    The disks are nested, so the nearest in-canvas pixel outside the mask
+    decides: radius r fits iff r*r is below its squared distance. Misses in
+    the window's corners lie beyond radius 6 and so cannot lower the count.
+    """
+    cap = _HALFWIDTH_CAP
+    y0, x0 = max(y - cap, 0), max(x - cap, 0)
+    window = mask[y0:y + cap + 1, x0:x + cap + 1]
+    d2 = _WINDOW_D2[y0 - y + cap:, x0 - x + cap:][:window.shape[0], :window.shape[1]]
+    nearest = int(d2[~window].min(initial=cap * cap + 1))
     return sum(r * r < nearest for r in range(1, cap + 1))
 
 

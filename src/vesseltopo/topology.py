@@ -15,7 +15,9 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
   matched component-count discrepancies between two masks
 * ``skeletonize``       - topology-preserving thinning that removes simple
   points from per-pass candidate lists in a fixed row-major order,
-  endpoints retained
+  endpoints retained; each pass takes every candidate's pass-start
+  neighbourhood code, and which earlier neighbours are candidates too,
+  from one byte gather packed eight bytes to eight bits by a multiply
 
 All kernels are plain numpy plus short Python loops over runs and thinning
 candidates; nothing is compiled.
@@ -117,6 +119,10 @@ def _build_pass_status(deletable: np.ndarray) -> np.ndarray:
 
 _PASS_STATUS = _build_pass_status(_DELETABLE_LUT)
 
+# Multiplying a little-endian uint64 whose 8 bytes are each 0 or 1 by this
+# constant gathers byte i into bit 56 + i, with no carry into bits 56-63.
+_PACK8 = np.uint64(0x0102040810204080)
+
 # Gray's bit-quad weights: a 2x2 window read as TL + 2*TR + 4*BL + 8*BR
 # adds +1 with one foreground pixel, -1 with three and -2 for a diagonal
 # pair; the sum over all windows is 4 * chi for 8-connected foreground.
@@ -182,35 +188,66 @@ def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int,
     return run.reshape(h, width)[:, :w], label_of, count, len(upper)
 
 
+def _pass_probes(width: int, step: int) -> np.ndarray:
+    """Flat offsets that a thinning pass reads around each candidate.
+
+    In a flat frame of row length ``width``: the 8 neighbours in ``_OFFS8``
+    order, then the ``step``-neighbours of NW, N, NE and W, padded to 8 by
+    repeating the first.
+    """
+    offsets = [dy * width + dx for dy, dx in _OFFS8]
+    return np.array(offsets + [o + step for o in offsets[:4]]
+                    + [offsets[0] + step] * 4)
+
+
+def _pass_codes(b: np.ndarray, cand: np.ndarray,
+                probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pass-start ``code`` and ``early`` bits of each candidate.
+
+    ``b`` is the pass-start mask as flat 0/1 bytes. One gather reads each
+    candidate's 16 probes; each group of 8 bytes, read as a little-endian
+    uint64, packs to 8 bits by one multiply. Byte group 0 gives the code;
+    group 1 gives ``blocked``, whose bits 0-3 tell which of NW, N, NE, W has
+    a foreground step-neighbour. A neighbour is itself a candidate of the
+    pass iff it is foreground and its step-neighbour is not, so
+    ``early = code & ~blocked & 15``.
+    """
+    packed = b[cand[:, None] + probes].view("<u8") * _PACK8 >> 56
+    code = packed[:, 0]
+    return code, code & ~packed[:, 1] & 15
+
+
 def _thin(m: np.ndarray) -> np.ndarray:
     # Sequential thinning: N, S, E and W boundary passes repeat until a
     # whole sweep deletes nothing. A pass takes its candidates from the
     # pass-start mask and visits them in row-major order, deleting each one
     # that is deletable in the live mask. Only a candidate's earlier-visited
     # neighbours (NW, N, NE, W) can differ from the pass-start mask, so every
-    # decision _PASS_STATUS settles is applied at once and the loop visits
-    # only the rest. Works on a flat copy with a one-pixel background frame.
+    # decision _PASS_STATUS settles from the pass-start codes is applied at
+    # once and the loop visits only the rest.
+    #
+    # Works on a flat copy with a one-pixel background frame. A step-
+    # neighbour probe can land two pixels outside the mask, past the frame,
+    # where a negative flat index wraps around; but it only counts for a
+    # foreground neighbour, which lies inside the frame, so the probes that
+    # count always fall on the frame or inside it.
     h, w = m.shape
     width = w + 2
     padded = np.zeros((h + 2, width), dtype=bool)
     padded[1:-1, 1:-1] = m
     f = padded.ravel()
-    live = f.view(np.uint8).data  # scalar access to f for the loop
-    offsets = np.array([dy * width + dx for dy, dx in _OFFS8])
+    b = f.view(np.uint8)
+    live = b.data  # scalar access to f for the loop
+    passes = [(step, _pass_probes(width, step)) for step in (-width, width, 1, -1)]
     deletable = _DELETABLE_LUT.tolist()
-    in_pass = np.zeros(f.size, dtype=bool)
     fg = np.flatnonzero(f)
     changed = True
     while changed:
         changed = False
-        for step in (-width, width, 1, -1):
+        for step, probes in passes:
             cand = fg[~f[fg + step]]
-            nbrs = cand[:, None] + offsets
-            code = np.packbits(f[nbrs], axis=1, bitorder="little")[:, 0]
-            in_pass[cand] = True
-            early = np.packbits(in_pass[nbrs[:, :4]], axis=1, bitorder="little")[:, 0]
-            in_pass[cand] = False
-            status = _PASS_STATUS[early.astype(np.intp) << 8 | code]
+            code, early = _pass_codes(b, cand, probes)
+            status = _PASS_STATUS[early << 8 | code]
             settled = cand[status == 1]
             f[settled] = False
             n_gone = settled.size

@@ -153,6 +153,11 @@ def test_local_halfwidth_matches_probe_loop():
     masks = [gt, straight_tube(thickness=7), np.ones((5, 30), dtype=bool),
              np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool)]
     masks += [rng.random((20, 20)) < 0.9 for _ in range(5)]
+    # a full canvas, and misses only at its corners and edges
+    edges = np.ones((17, 23), dtype=bool)
+    edges[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+    edges[[0, 8, 16], [11, 0, 22]] = False
+    masks += [np.ones((30, 30), dtype=bool), edges]
     for mask in masks:
         for y, x in np.ndindex(mask.shape):
             assert _local_halfwidth(mask, y, x) == local_halfwidth(mask, y, x), \

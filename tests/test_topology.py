@@ -8,6 +8,9 @@ from vesseltopo.errors import DimensionMismatch
 from vesseltopo.synth import VesselParams, generate_vessel
 from vesseltopo.topology import (
     _DELETABLE_LUT,
+    _OFFS8,
+    _pass_codes,
+    _pass_probes,
     SIMPLE_LUT,
     TopologySummary,
     beta0_matching_error,
@@ -21,6 +24,8 @@ from vesseltopo.topology import (
 )
 
 from oracles import (
+    _code_at,
+    _stamp_disk,
     _thin_inplace,
     betti_delta_after_removal,
     bounded_background_components,
@@ -287,6 +292,36 @@ def test_skeleton_idempotent():
         assert np.array_equal(skeletonize(skel), skel)
 
 
+def test_pass_codes_match_brute_force():
+    # early bit i: neighbour i (NW, N, NE, W) is a candidate of the pass,
+    # i.e. foreground with a background step-neighbour, off-canvas counting
+    # as background. Wrong early bits that only over-report slow thinning
+    # down without changing its output, so they are checked here directly.
+    def fg(m, y, x):
+        return 0 <= y < m.shape[0] and 0 <= x < m.shape[1] and bool(m[y, x])
+
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        h, w = rng.integers(1, 10, size=2)
+        m = rng.random((h, w)) < rng.uniform(0.3, 0.9)
+        width = w + 2
+        padded = np.zeros((h + 2, width), dtype=bool)
+        padded[1:-1, 1:-1] = m
+        f = padded.ravel()
+        for step, (sy, sx) in ((-width, (-1, 0)), (width, (1, 0)),
+                               (1, (0, 1)), (-1, (0, -1))):
+            fgq = np.flatnonzero(f)
+            cand = fgq[~f[fgq + step]]
+            code, early = _pass_codes(f.view(np.uint8), cand,
+                                      _pass_probes(width, step))
+            for q, c, e in zip(cand.tolist(), code.tolist(), early.tolist()):
+                y, x = q // width - 1, q % width - 1
+                assert c == _code_at(m, y, x)
+                assert e == sum(1 << i for i, (dy, dx) in enumerate(_OFFS8[:4])
+                                if fg(m, y + dy, x + dx)
+                                and not fg(m, y + dy + sy, x + dx + sx))
+
+
 def _reference_skeleton(m):
     ref = np.array(m, dtype=bool)
     _thin_inplace(ref, _DELETABLE_LUT)
@@ -306,6 +341,9 @@ def test_skeleton_matches_reference_exhaustive_3x3():
 
 
 def test_skeleton_matches_reference_random_strips_and_squares():
+    for shape in ((0, 5), (5, 0), (1, 1)):
+        _assert_skeleton_matches_reference(np.zeros(shape, dtype=bool))
+        _assert_skeleton_matches_reference(np.ones(shape, dtype=bool))
     rng = np.random.default_rng(31)
     for _ in range(100):
         n = int(rng.integers(1, 40))
@@ -317,12 +355,42 @@ def test_skeleton_matches_reference_random_strips_and_squares():
 
 
 def test_skeleton_matches_reference_on_vessel_scenes():
-    for i, side in enumerate((48, 64, 80, 96)):
-        params = VesselParams(width=side, height=side, n_trees=1 + i % 2,
-                              n_loops=i % 3, radius_root=(2.0, 2.4)[i % 2],
-                              seed=4200 + i)
+    scenes = [VesselParams(width=side, height=side, n_trees=1 + i % 2,
+                           n_loops=i % 3, radius_root=(2.0, 2.4)[i % 2],
+                           seed=4200 + i)
+              for i, side in enumerate((48, 64, 80, 96))]
+    scenes.append(VesselParams(width=256, height=256, radius_root=3.7, seed=0))
+    for params in scenes:
         _, mask, _ = generate_vessel(params)
         _assert_skeleton_matches_reference(mask)
+
+
+def test_skeleton_matches_reference_at_the_canvas_border():
+    # Foreground on rows 0 and h-1 and columns 0 and w-1: the pass-start
+    # probes of such pixels' neighbours reach two pixels past the mask,
+    # beyond the one-pixel frame, and negative flat indices wrap around.
+    rng = np.random.default_rng(37)
+    for h, w in ((2, 2), (3, 8), (12, 12), (17, 9), (7, 53), (53, 7)):
+        _assert_skeleton_matches_reference(np.ones((h, w), dtype=bool))
+        for _ in range(8):
+            m = rng.random((h, w)) < rng.uniform(0.4, 0.95)
+            m[[0, -1], :] |= rng.random((2, w)) < 0.8
+            m[:, [0, -1]] |= rng.random((h, 2)) < 0.8
+            m[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+            _assert_skeleton_matches_reference(m)
+
+
+def test_skeleton_matches_reference_on_thick_blobs():
+    # Disks of radius 4-10 thin over many sweeps, and most candidates of a
+    # pass have earlier neighbours that are candidates too.
+    rng = np.random.default_rng(43)
+    for _ in range(12):
+        side = int(rng.integers(24, 65))
+        m = np.zeros((side, side), dtype=bool)
+        for _ in range(int(rng.integers(1, 4))):
+            cy, cx = rng.uniform(0, side, size=2)
+            _stamp_disk(m, cy, cx, rng.uniform(4.0, 10.0))
+        _assert_skeleton_matches_reference(m)
 
 
 # --------------------------- simple points ------------------------------- #
