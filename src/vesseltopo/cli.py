@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import NonFiniteLoss, VesselTopoError
+from .errors import FormatError, InvalidConfig, NonFiniteLoss, VesselTopoError
 from .flowgen import (TrainConfig, load_checkpoint, refine_eval, save_checkpoint,
                       train, write_loss_curve)
 from .maskio import load_image, load_mask, write_atomic
@@ -42,15 +42,27 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
+def _typed(key: str, value, kind: type):
+    """Return value if it has JSON type kind; an int may stand for a float,
+    but a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise InvalidConfig(f"config value {key} must be a {kind.__name__}, "
+                            f"got {json.dumps(value)}")
+    return value
+
+
 def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Resolve options: explicit flags win over the config file over defaults."""
+    """Resolve options: explicit flags win over the config file over defaults.
+
+    Each resolved value must have the type of its default.
+    """
     out = dict(defaults)
     out.update({k: v for k, v in file_cfg.items() if k in defaults})
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
-    return out
+    return {key: _typed(key, value, type(defaults[key])) for key, value in out.items()}
 
 
 def _write_text(path, text: str) -> None:
@@ -69,10 +81,17 @@ def _load_triples(data_dir, limit=None) -> list:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            image = load_image(os.path.join(data_dir, rec["image"]))
-            gt = load_mask(os.path.join(data_dir, rec["gt"]))
-            for bad in rec["bad"]:
-                triples.append((image, load_mask(os.path.join(data_dir, bad["path"])), gt))
+            try:
+                image_path = os.path.join(data_dir, rec["image"])
+                gt_path = os.path.join(data_dir, rec["gt"])
+                bad_paths = [os.path.join(data_dir, bad["path"]) for bad in rec["bad"]]
+            except (KeyError, TypeError):
+                raise FormatError(f"{manifest}: record {line.strip()!r} lacks "
+                                  f"image, gt or bad paths") from None
+            image = load_image(image_path)
+            gt = load_mask(gt_path)
+            for bad_path in bad_paths:
+                triples.append((image, load_mask(bad_path), gt))
                 if limit is not None and len(triples) >= limit:
                     return triples
     if not triples:
@@ -131,6 +150,8 @@ def cmd_taskgen(args) -> None:
         per_kind = {kind: args.per_kind for kind in TASK_KINDS}
     if not per_kind:
         per_kind = {kind: 10 for kind in TASK_KINDS}
+    for kind, n in _typed("per_kind", per_kind, dict).items():
+        _typed(f"per_kind.{kind}", n, int)
     config = DatasetConfig(out_dir=args.out, per_kind=per_kind, **merged)
     manifest = build_dataset(config)
     print(manifest)

@@ -390,6 +390,8 @@ def save_checkpoint(model: VelocityModel, config: TrainConfig, path) -> None:
 def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise InvalidConfig(f"checkpoint {path} must hold a JSON object")
     if blob.get("version") != 1:
         raise InvalidConfig(f"unsupported checkpoint version {blob.get('version')}")
     try:
@@ -398,15 +400,18 @@ def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
         stored.pop("checkpoint_path", None)
         stored.pop("loss_curve_path", None)
         config = TrainConfig(**stored)
-    except TypeError as exc:  # not a mapping, unknown or missing keys
+    except (KeyError, TypeError) as exc:  # missing, not a mapping, bad keys
         raise InvalidConfig(f"bad checkpoint config: {exc}") from None
     model = VelocityModel(hidden=config.hidden, seed=0)
-    model.params = [
-        [np.asarray(entry["weight"], dtype=np.float64),
-         np.asarray(entry["bias"], dtype=np.float64)]
-        for entry in blob["params"]
-    ]
-    model.widths = tuple(blob["widths"])
+    try:
+        model.params = [
+            [np.asarray(entry["weight"], dtype=np.float64),
+             np.asarray(entry["bias"], dtype=np.float64)]
+            for entry in blob["params"]
+        ]
+        model.widths = tuple(blob["widths"])
+    except (KeyError, TypeError) as exc:  # missing or malformed parameters
+        raise InvalidConfig(f"bad checkpoint parameters: {exc!r}") from None
     return model, config
 
 

@@ -4,6 +4,9 @@ Scenes are branching tube systems rendered onto a noisy background. All
 topology claims are verified rather than assumed: generation recomputes
 Betti numbers after every structural edit and retries with a fresh
 sub-stream until the requested component and loop counts hold exactly.
+Every loop insertion and every disconnect, merge or hole edit goes through
+one verified-edit loop, ``_verified_edit``: a proposed edit is kept only if
+its recounted (beta0, beta1) change is one the caller allows.
 
 Randomness is split per tree and per perturbation via ``SeedSequence`` so
 that editing one part of a scene never reshuffles the rest.
@@ -15,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -161,32 +165,66 @@ def _place_roots(rng: np.random.Generator, params: VesselParams) -> list:
     return roots
 
 
+def _verified_edit(cur_b: TopologySummary, attempts, deltas):
+    """Return the first candidate edit whose recounted Betti deltas pass.
+
+    ``attempts`` yields one iterable of ``(mask, sites)`` candidates per
+    attempt, built lazily so that an attempt's rng draws happen only when it
+    is reached. A candidate passes when ``(beta0, beta1)`` of its mask minus
+    ``cur_b`` is in ``deltas``. Returns ``((mask, betti, sites), n)`` for the
+    first one that passes, or ``(None, n)``; n is the number of attempts used.
+    """
+    n = 0
+    for n, candidates in enumerate(attempts, 1):
+        for cand, sites in candidates:
+            b = betti_numbers(cand)
+            if (b.beta0 - cur_b.beta0, b.beta1 - cur_b.beta1) in deltas:
+                return (cand, b, sites), n
+    return None, n
+
+
+def _bridges(cur: np.ndarray, rng: np.random.Generator, partners, radius: float):
+    """Attempts that each bridge a random foreground pixel p to a partner q.
+
+    q is drawn among the foreground pixels ``fg`` where ``partners(fg, p)``
+    holds; an attempt that finds none proposes nothing. The bridge is a tube
+    of the given radius, and its sites are p and q.
+    """
+    fg = np.argwhere(cur)
+    if len(fg) == 0:
+        raise InsufficientStructure("mask has no foreground to bridge")
+    while True:
+        p = fg[rng.integers(len(fg))]
+        picks = np.nonzero(partners(fg, p))[0]
+        if len(picks) == 0:
+            yield ()
+            continue
+        q = fg[picks[rng.integers(len(picks))]]
+        cand = cur.copy()
+        _stamp_tube(cand, p, q, radius, radius)
+        yield [(cand, ((int(p[0]), int(p[1])), (int(q[0]), int(q[1]))))]
+
+
 def _insert_loops(mask: np.ndarray, n_loops: int, rng: np.random.Generator,
                   params: VesselParams) -> np.ndarray | None:
     """Bridge same-tree branch pairs until exactly n_loops loops exist."""
-    cur = mask.copy()
-    summary = betti_numbers(cur)
+    cur = mask
+    cur_b = betti_numbers(cur)
     max_span = 0.35 * min(cur.shape)
     for _ in range(n_loops):
         labels = label_components(cur, 8).labels
-        fg = np.argwhere(cur)
-        done = False
-        for _ in range(100):
-            p = fg[rng.integers(len(fg))]
+
+        def same_tree(fg, p, labels=labels):
             d = np.hypot(fg[:, 0] - p[0], fg[:, 1] - p[1])
             same = labels[fg[:, 0], fg[:, 1]] == labels[p[0], p[1]]
-            picks = np.nonzero((d >= 8) & (d <= max_span) & same)[0]
-            if len(picks) == 0:
-                continue
-            q = fg[picks[rng.integers(len(picks))]]
-            cand = cur.copy()
-            _stamp_tube(cand, p, q, params.radius_min, params.radius_min)
-            b = betti_numbers(cand)
-            if b.beta0 == summary.beta0 and b.beta1 == summary.beta1 + 1:
-                cur, summary, done = cand, b, True
-                break
-        if not done:
+            return (d >= 8) & (d <= max_span) & same
+
+        found, _ = _verified_edit(
+            cur_b, islice(_bridges(cur, rng, same_tree, params.radius_min), 100),
+            {(0, 1)})
+        if found is None:
             return None
+        cur, cur_b, _ = found
     return cur
 
 
@@ -297,6 +335,37 @@ def _skeleton_tangent(skel: np.ndarray, y: int, x: int,
     return math.sin(angle), math.cos(angle)
 
 
+def _perturb(kind: str, what: str, mask: BinaryMask, k: int, seed: int,
+             deltas, attempts) -> tuple[BinaryMask, PerturbationLog]:
+    """Make k edits to mask, each one verified by ``_verified_edit``.
+
+    ``attempts(cur, rng, sites)`` yields the attempts at the next edit of
+    ``cur``, given the sites of the edits made so far. All k edits share one
+    budget of ``_MAX_SITE_ATTEMPTS`` attempts; the edit that finds it spent
+    raises InsufficientStructure. The log holds every edit's sites and the
+    Betti deltas of the returned mask against the input.
+    """
+    cur = as_mask(mask).copy()
+    if k == 0:
+        return cur, PerturbationLog(kind, (), 0, 0)
+    rng = np.random.default_rng(seed)
+    base = cur_b = betti_numbers(cur)
+    sites: list[tuple[int, int]] = []
+    used = 0
+    for i in range(k):
+        found, n = _verified_edit(
+            cur_b, islice(attempts(cur, rng, sites), _MAX_SITE_ATTEMPTS - used),
+            deltas)
+        used += n
+        if found is None:
+            raise InsufficientStructure(
+                f"could not {what} {i + 1} of {k} after {used} attempts")
+        cur, cur_b, new_sites = found
+        sites.extend(new_sites)
+    return cur, PerturbationLog(kind, tuple(sites), cur_b.beta0 - base.beta0,
+                                cur_b.beta1 - base.beta1)
+
+
 def perturb_disconnect(mask: BinaryMask, k: int,
                        seed: int) -> tuple[BinaryMask, PerturbationLog]:
     """Erase k short full-width gaps, each verified to add one component.
@@ -305,60 +374,40 @@ def perturb_disconnect(mask: BinaryMask, k: int,
     non-adjacent. Every cut is accepted only if recomputed Betti numbers
     show beta0 + 1 and unchanged beta1; otherwise another site is tried.
     """
-    m = as_mask(mask).copy()
-    if k == 0:
-        return m, PerturbationLog("disconnect", (), 0, 0)
-    rng = np.random.default_rng(seed)
-    cur = m
-    cur_b = betti_numbers(cur)
-    sites: list[tuple[int, int]] = []
-    radii: list[float] = []
-    attempts = 0
-    for _ in range(k):
+    m = as_mask(mask)
+    radius: dict[tuple[int, int], float] = {}
+
+    def widths(cur, y, x, p0, p1, base_rw):
+        for rw in (base_rw, base_rw + 1.0):
+            erase = np.zeros_like(cur)
+            _stamp_tube(erase, p0, p1, rw, rw)
+            # an accepted cut is the last one yielded at its site, and it
+            # erases the site, so no later attempt overwrites its radius
+            radius[y, x] = rw
+            yield cur & ~erase, ((y, x),)
+
+    def cuts(cur, rng, sites):
         skel = skeletonize(cur)
         interior = np.argwhere(skel & (_neighbor_count(skel) >= 2))
         order = rng.permutation(len(interior))
-        placed = False
         # second round relaxes the site-separation pre-filter down to plain
-        # non-adjacency; the Betti verification below still guards every cut
+        # non-adjacency; the Betti verification still guards every cut
         for relaxed in (False, True):
             for oi in order:
-                if attempts >= _MAX_SITE_ATTEMPTS:
-                    break
                 y, x = map(int, interior[oi])
                 if not cur[y, x]:
                     continue
                 base_rw = _local_halfwidth(m, y, x) + 1.0
                 if any(math.hypot(y - sy, x - sx)
-                       < (3.0 if relaxed else base_rw + pr + 2.0)
-                       for (sy, sx), pr in zip(sites, radii)):
+                       < (3.0 if relaxed else base_rw + radius[sy, sx] + 2.0)
+                       for sy, sx in sites):
                     continue
-                attempts += 1
-                length = int(rng.integers(2, 6))
+                half = int(rng.integers(2, 6)) / 2.0
                 ty, tx = _skeleton_tangent(skel, y, x, rng)
-                half = length / 2.0
-                for rw in (base_rw, base_rw + 1.0):
-                    erase = np.zeros_like(cur)
-                    _stamp_tube(erase, (y - ty * half, x - tx * half),
-                                (y + ty * half, x + tx * half), rw, rw)
-                    cand = cur & ~erase
-                    b = betti_numbers(cand)
-                    if b.beta0 == cur_b.beta0 + 1 and b.beta1 == cur_b.beta1:
-                        cur, cur_b = cand, b
-                        sites.append((y, x))
-                        radii.append(rw)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed:
-            raise InsufficientStructure(
-                f"could not place cut {len(sites) + 1} of {k} "
-                f"after {attempts} attempts"
-            )
-    return cur, PerturbationLog("disconnect", tuple(sites), k, 0)
+                yield widths(cur, y, x, (y - ty * half, x - tx * half),
+                             (y + ty * half, x + tx * half), base_rw)
+
+    return _perturb("disconnect", "place cut", m, k, seed, {(1, 0)}, cuts)
 
 
 def perturb_merge(mask: BinaryMask, k: int,
@@ -368,86 +417,34 @@ def perturb_merge(mask: BinaryMask, k: int,
     Each bridge must either fuse two components (beta0 - 1) or close a loop
     (beta1 + 1); the actual verified deltas are recorded in the log.
     """
-    m = as_mask(mask).copy()
-    if k == 0:
-        return m, PerturbationLog("merge", (), 0, 0)
-    rng = np.random.default_rng(seed)
-    cur = m
-    cur_b = betti_numbers(cur)
-    sites: list[tuple[int, int]] = []
-    d_beta0 = 0
-    d_beta1 = 0
-    attempts = 0
-    for _ in range(k):
-        placed = False
-        while attempts < _MAX_SITE_ATTEMPTS:
-            attempts += 1
-            fg = np.argwhere(cur)
-            p = fg[rng.integers(len(fg))]
-            d = np.maximum(np.abs(fg[:, 0] - p[0]), np.abs(fg[:, 1] - p[1]))
-            picks = np.nonzero((d >= 3) & (d <= 6))[0]
-            if len(picks) == 0:
-                continue
-            q = fg[picks[rng.integers(len(picks))]]
-            cand = cur.copy()
-            _stamp_tube(cand, p.astype(float), q.astype(float), 1.2, 1.2)
-            b = betti_numbers(cand)
-            db0 = b.beta0 - cur_b.beta0
-            db1 = b.beta1 - cur_b.beta1
-            if (db0, db1) in ((-1, 0), (0, 1)):
-                cur, cur_b = cand, b
-                d_beta0 += db0
-                d_beta1 += db1
-                sites.append((int(p[0]), int(p[1])))
-                sites.append((int(q[0]), int(q[1])))
-                placed = True
-                break
-        if not placed:
-            raise InsufficientStructure(
-                f"could not place bridge {len(sites) // 2 + 1} of {k} "
-                f"after {attempts} attempts"
-            )
-    return cur, PerturbationLog("merge", tuple(sites), d_beta0, d_beta1)
+    def near(fg, p):
+        d = np.maximum(np.abs(fg[:, 0] - p[0]), np.abs(fg[:, 1] - p[1]))
+        return (d >= 3) & (d <= 6)
+
+    return _perturb("merge", "place bridge", mask, k, seed, {(-1, 0), (0, 1)},
+                    lambda cur, rng, sites: _bridges(cur, rng, near, 1.2))
 
 
 def perturb_holes(mask: BinaryMask, k: int,
                   seed: int) -> tuple[BinaryMask, PerturbationLog]:
     """Punch k single-pixel holes in thick regions, each adding one loop."""
-    m = as_mask(mask).copy()
-    if k == 0:
-        return m, PerturbationLog("hole", (), 0, 0)
-    rng = np.random.default_rng(seed)
+    m = as_mask(mask)
     interior = np.argwhere(m & (_neighbor_count(m) == 8))
-    if len(interior) == 0:
+    if k and len(interior) == 0:
         raise InsufficientStructure("mask has no interior pixels to puncture")
-    order = rng.permutation(len(interior))
-    cur = m
-    cur_b = betti_numbers(cur)
-    sites: list[tuple[int, int]] = []
-    attempts = 0
-    for _ in range(k):
-        placed = False
+    # the site order is the only draw, so it is the first of the seed's stream
+    order = np.random.default_rng(seed).permutation(len(interior))
+
+    def holes(cur, rng, sites):
+        # a punched site is background in cur, so it is never tried again
         for oi in order:
-            if attempts >= _MAX_SITE_ATTEMPTS:
-                break
             y, x = map(int, interior[oi])
-            if (y, x) in sites or not cur[y, x]:
-                continue
-            attempts += 1
-            cand = cur.copy()
-            cand[y, x] = False
-            b = betti_numbers(cand)
-            if b.beta0 == cur_b.beta0 and b.beta1 == cur_b.beta1 + 1:
-                cur, cur_b = cand, b
-                sites.append((y, x))
-                placed = True
-                break
-        if not placed:
-            raise InsufficientStructure(
-                f"could not punch hole {len(sites) + 1} of {k} "
-                f"after {attempts} attempts"
-            )
-    return cur, PerturbationLog("hole", tuple(sites), 0, k)
+            if cur[y, x]:
+                cand = cur.copy()
+                cand[y, x] = False
+                yield [(cand, ((y, x),))]
+
+    return _perturb("hole", "punch hole", m, k, seed, {(0, 1)}, holes)
 
 
 def perturb_dilate_noise(mask: BinaryMask, seed: int,
@@ -461,15 +458,7 @@ def perturb_dilate_noise(mask: BinaryMask, seed: int,
     m = as_mask(mask).copy()
     rng = np.random.default_rng(seed)
     base = betti_numbers(m)
-    padded = np.pad(m, 1)
-    rim = np.zeros_like(padded)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            rim |= np.roll(np.roll(padded, dy, 0), dx, 1)
-    rim = rim[1:-1, 1:-1] & ~m
-    candidates = np.argwhere(rim)
+    candidates = np.argwhere((_neighbor_count(m) > 0) & ~m)
     if len(candidates) == 0:
         return m, PerturbationLog("dilate-noise", (), 0, 0)
     chosen = candidates[rng.random(len(candidates)) < grow_prob]

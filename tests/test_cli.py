@@ -145,7 +145,8 @@ def test_train_config_file_with_flag_override(capsys, tmp_path):
     main(["synth", "--out", str(data), "--count", "1", "--seed", "2",
           "--width", "32", "--height", "32", "--radius", "1.6", "--depth", "3"])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"steps": 5, "hidden": 4, "batch_size": 1}))
+    # an int is accepted for the float field lam
+    cfg.write_text(json.dumps({"steps": 5, "hidden": 4, "batch_size": 1, "lam": 1}))
     ck = tmp_path / "ck.json"
     # flag wins over the config file for steps
     assert main(["train", "--data", str(data), "--checkpoint", str(ck),
@@ -155,6 +156,46 @@ def test_train_config_file_with_flag_override(capsys, tmp_path):
     blob = json.loads(ck.read_text())
     assert blob["config"]["steps"] == 3
     assert blob["config"]["hidden"] == 4
+    assert blob["config"]["lam"] == 1
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("train", {"steps": "ten"}, "steps"),
+    ("train", {"steps": True}, "steps"),
+    ("taskgen", {"width": "64"}, "width"),
+    ("taskgen", {"per_kind": {"refinement": "3"}}, "per_kind.refinement"),
+])
+def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, train_data,
+                                            command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = {"train": ["train", "--data", str(train_data),
+                      "--checkpoint", str(tmp_path / "ck.json")],
+            "taskgen": ["taskgen", "--out", str(tmp_path / "ds")]}[command]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"config value {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["7", '{"a": 1}'])
+def test_malformed_manifest_record_exits_2(capsys, tmp_path, line):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.jsonl").write_text(line + "\n")
+    assert main(["train", "--data", str(data), "--checkpoint",
+                 str(tmp_path / "ck.json"), "--steps", "1"]) == 2
+    assert "lacks image, gt or bad paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [
+    {"version": 1},
+    {"version": 1, "config": {"steps": 1}, "widths": [6, 4, 4, 1]},  # no params
+    [1, 2],
+], ids=["no-config", "no-params", "list"])
+def test_refine_on_malformed_checkpoint_exits_2(capsys, tmp_path, train_data, blob):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(blob))
+    assert main(["refine", "--checkpoint", str(ck), "--data", str(train_data)]) == 2
+    assert "checkpoint" in capsys.readouterr().err
 
 
 def test_no_adaptive_flag_sets_lambda_off(tmp_path, capsys):

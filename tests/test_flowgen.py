@@ -292,6 +292,10 @@ def test_checkpoint_with_legacy_output_paths_loads(tmp_path, triple):
 
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99}))
-    with pytest.raises(InvalidConfig):
-        load_checkpoint(path)
+    # wrong version, no config, no params, not an object
+    for blob in ({"version": 99}, {"version": 1},
+                 {"version": 1, "config": {"steps": 1}, "widths": [6, 4, 4, 1]},
+                 [1, 2]):
+        path.write_text(json.dumps(blob))
+        with pytest.raises(InvalidConfig):
+            load_checkpoint(path)

@@ -241,6 +241,48 @@ def test_merge_noop_and_insufficient():
     lone[4, 4] = True
     with pytest.raises(InsufficientStructure):
         perturb_merge(lone, 1, seed=0)
+    with pytest.raises(InsufficientStructure, match="no foreground"):
+        perturb_merge(np.zeros((8, 8), dtype=bool), 1, seed=0)
+
+
+def annulus(size=24, width=3):
+    m = np.zeros((size, size), dtype=bool)
+    m[2:size - 2, 2:size - 2] = True
+    m[2 + width:size - 2 - width, 2 + width:size - 2 - width] = False
+    return m
+
+
+def annulus_and_tube():
+    m = np.zeros((24, 44), dtype=bool)
+    m[:, :24] = annulus()
+    m[10:14, 28:38] = True  # takes one cut; no cut of the ring adds a component
+    return m
+
+
+def thick_bar():
+    m = np.zeros((16, 24), dtype=bool)
+    m[3:13, 3:21] = True  # no bridge inside it fuses or closes anything
+    return m
+
+
+@pytest.mark.parametrize("fn, mask, seed, message, betti_calls", [
+    # each cut site tries two erase widths, both rejected: 1 + 2 * 20 recounts
+    (perturb_disconnect, annulus(), 0, "could not place cut 1 of 2 after 20 attempts", 41),
+    (perturb_merge, thick_bar(), 0, "could not place bridge 1 of 2 after 20 attempts", 21),
+    # the first cut takes a tube site; the second spends what is left
+    (perturb_disconnect, annulus_and_tube(), 0,
+     "could not place cut 2 of 2 after 20 attempts", 40),
+], ids=["disconnect-ring", "merge-bar", "disconnect-ring-then-tube"])
+def test_site_budget_is_shared_by_all_edits_and_counted_per_site(
+        monkeypatch, fn, mask, seed, message, betti_calls):
+    calls = []
+    real = synth.betti_numbers
+    monkeypatch.setattr(synth, "betti_numbers", lambda m: calls.append(1) or real(m))
+    monkeypatch.setattr(synth, "_MAX_SITE_ATTEMPTS", 20)
+    with pytest.raises(InsufficientStructure) as info:
+        fn(mask, 2, seed=seed)
+    assert str(info.value) == message
+    assert len(calls) == betti_calls
 
 
 def test_holes_thick_tube():
