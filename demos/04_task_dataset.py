@@ -1,8 +1,11 @@
 """Build a small topology-centric task dataset and audit it.
 
 Each record's answer is derived by the topology rule engine; the audit
-re-derives every answer from the stored pixels and must find zero
-mismatches. Prompts embed the definitions and scoring rules they rely on.
+re-derives every answer from the stored pixels, by the same rules, and must
+find zero mismatches. It checks each record against its files (pixels, image
+path order, provenance, the counts a refinement prompt states); the rules
+themselves are pinned by an oracle test in tests/test_taskgen.py. Prompts
+embed the definitions and scoring rules they rely on.
 """
 
 import json

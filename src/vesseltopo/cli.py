@@ -12,8 +12,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
-from .errors import FormatError, InvalidConfig, NonFiniteLoss, VesselTopoError
+from .errors import FormatError, NonFiniteLoss, VesselTopoError, typed
 from .flowgen import (TrainConfig, load_checkpoint, refine_eval, save_checkpoint,
                       train, write_loss_curve)
 from .maskio import load_image, load_mask, write_atomic
@@ -42,13 +43,10 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _typed(key: str, value, kind: type):
-    """Return value if it has JSON type kind; an int may stand for a float,
-    but a bool is never a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise InvalidConfig(f"config value {key} must be a {kind.__name__}, "
-                            f"got {json.dumps(value)}")
-    return value
+def _defaults(config_class, skip=()) -> dict:
+    """The plain defaults of a config dataclass's fields, minus skip."""
+    return {f.name: f.default for f in fields(config_class)
+            if f.default is not MISSING and f.name not in skip}
 
 
 def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
@@ -62,7 +60,7 @@ def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
-    return {key: _typed(key, value, type(defaults[key])) for key, value in out.items()}
+    return {key: typed(key, value, type(defaults[key])) for key, value in out.items()}
 
 
 def _write_text(path, text: str) -> None:
@@ -138,21 +136,15 @@ def cmd_synth(args) -> None:
 
 def cmd_taskgen(args) -> None:
     file_cfg = _read_config_file(args.config)
-    merged = _merged(args, file_cfg, {
-        "width": 64,
-        "height": 64,
-        "seed": 0,
-        "test_fraction": 0.2,
-        "noise_sigma": 0.04,
-    })
+    merged = _merged(args, file_cfg, _defaults(DatasetConfig))
     per_kind = file_cfg.get("per_kind", {})
     if args.per_kind is not None:
         per_kind = {kind: args.per_kind for kind in TASK_KINDS}
-    if not per_kind:
-        per_kind = {kind: 10 for kind in TASK_KINDS}
-    for kind, n in _typed("per_kind", per_kind, dict).items():
-        _typed(f"per_kind.{kind}", n, int)
-    config = DatasetConfig(out_dir=args.out, per_kind=per_kind, **merged)
+    if per_kind:  # else DatasetConfig's default counts
+        for kind, n in typed("per_kind", per_kind, dict).items():
+            typed(f"per_kind.{kind}", n, int)
+        merged["per_kind"] = per_kind
+    config = DatasetConfig(out_dir=args.out, **merged)
     manifest = build_dataset(config)
     print(manifest)
     if args.verify:
@@ -168,15 +160,9 @@ def cmd_taskgen(args) -> None:
 
 def cmd_train(args) -> None:
     file_cfg = _read_config_file(args.config)
-    merged = _merged(args, file_cfg, {
-        "steps": 2000,
-        "batch_size": 4,
-        "learning_rate": 1e-3,
-        "lam": 10.0,
-        "patch_size": 8,
-        "seed": 0,
-        "hidden": 16,
-    })
+    # TrainConfig.steps has no default; weighting comes from --no-adaptive only
+    merged = _merged(args, file_cfg,
+                     {"steps": 2000, **_defaults(TrainConfig, skip={"weighting"})})
     config = TrainConfig(weighting=not args.no_adaptive, **merged)
     triples = _load_triples(args.data, args.limit)
     result = train(config, triples)

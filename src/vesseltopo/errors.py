@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the config type check."""
+
+import json
 
 
 class VesselTopoError(Exception):
@@ -23,6 +25,18 @@ class InvalidParams(VesselTopoError):
 
 class InvalidConfig(VesselTopoError):
     """A dataset or training configuration is malformed."""
+
+
+def typed(key: str, value, kind: type):
+    """Return value if it has JSON type kind, else raise InvalidConfig.
+
+    An int may stand for a float, but a bool is never a number.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise InvalidConfig(f"config value {key} must be a {kind.__name__}, "
+                            f"got {json.dumps(value)}")
+    return value
 
 
 class InsufficientStructure(VesselTopoError):

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, typed
 from .maskio import (GrayImage, as_gray, as_mask, check_same_shape, threshold,
                      write_atomic)
 from .metrics import MetricReport, aggregate_reports, format_csv, metric_report
@@ -388,12 +388,22 @@ def save_checkpoint(model: VelocityModel, config: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
+    """Read a checkpoint written by ``save_checkpoint``; raise InvalidConfig,
+    naming the path, on a config value of the wrong type or out of range, or
+    on widths or parameters that do not fit the stored hidden width."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
+    try:
+        return _checkpoint_from(blob)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"checkpoint {path}: {exc}") from None
+
+
+def _checkpoint_from(blob) -> tuple[VelocityModel, TrainConfig]:
     if not isinstance(blob, dict):
-        raise InvalidConfig(f"checkpoint {path} must hold a JSON object")
+        raise InvalidConfig("must hold a JSON object")
     if blob.get("version") != 1:
-        raise InvalidConfig(f"unsupported checkpoint version {blob.get('version')}")
+        raise InvalidConfig(f"unsupported version {blob.get('version')}")
     try:
         stored = {**blob["config"]}
         # older checkpoints also stored their own output paths; drop them
@@ -401,17 +411,28 @@ def load_checkpoint(path) -> tuple[VelocityModel, TrainConfig]:
         stored.pop("loss_curve_path", None)
         config = TrainConfig(**stored)
     except (KeyError, TypeError) as exc:  # missing, not a mapping, bad keys
-        raise InvalidConfig(f"bad checkpoint config: {exc}") from None
-    model = VelocityModel(hidden=config.hidden, seed=0)
+        raise InvalidConfig(f"bad config: {exc}") from None
+    hints = get_type_hints(TrainConfig)
+    for f in fields(config):
+        typed(f.name, getattr(config, f.name), hints[f.name])
+    config.validate()
     try:
-        model.params = [
+        params = [
             [np.asarray(entry["weight"], dtype=np.float64),
              np.asarray(entry["bias"], dtype=np.float64)]
             for entry in blob["params"]
         ]
-        model.widths = tuple(blob["widths"])
-    except (KeyError, TypeError) as exc:  # missing or malformed parameters
-        raise InvalidConfig(f"bad checkpoint parameters: {exc!r}") from None
+        widths = tuple(blob["widths"])
+    except (KeyError, TypeError, ValueError) as exc:  # missing or malformed
+        raise InvalidConfig(f"bad parameters: {exc!r}") from None
+    model = VelocityModel(hidden=config.hidden, seed=0)
+    got = [[w.shape, b.shape] for w, b in params]
+    if widths != model.widths or got != [[w.shape, b.shape] for w, b in model.params]:
+        raise InvalidConfig(f"widths {list(widths)} or parameter shapes do not fit "
+                            f"hidden width {config.hidden}")
+    if not all(np.isfinite(a).all() for layer in params for a in layer):
+        raise InvalidConfig("parameters are not all finite")
+    model.params = params
     return model, config
 
 

@@ -480,6 +480,18 @@ _PERTURB_FAMILIES = {
 }
 
 
+def perturb_first(families, mask: BinaryMask, k: int,
+                  seed: int) -> tuple[BinaryMask, PerturbationLog]:
+    """Apply the first of the perturbation functions ``families`` that can
+    make k edits; raise InsufficientStructure if none can."""
+    for perturb in families:
+        try:
+            return perturb(mask, k, seed)
+        except InsufficientStructure:
+            continue
+    raise InsufficientStructure(f"no perturbation family applicable (k={k})")
+
+
 def emit_samples(out_dir, params: VesselParams, count: int,
                  n_bad: int = 1, max_k: int = 3) -> str:
     """Write `count` scenes plus perturbed variants and a JSONL manifest.
@@ -503,19 +515,10 @@ def emit_samples(out_dir, params: VesselParams, count: int,
         rng = np.random.default_rng(seeds[1])
         bad_entries = []
         for j in range(n_bad):
-            family_order = list(rng.permutation(sorted(_PERTURB_FAMILIES)))
+            family_order = rng.permutation(sorted(_PERTURB_FAMILIES))
             k = int(rng.integers(1, max_k + 1))
-            bad = None
-            for family in family_order:
-                try:
-                    bad, log = _PERTURB_FAMILIES[family](gt, k, int(seeds[2 + j]))
-                    break
-                except InsufficientStructure:
-                    continue
-            if bad is None:
-                raise InsufficientStructure(
-                    f"sample {sid}: no perturbation family applicable"
-                )
+            bad, log = perturb_first([_PERTURB_FAMILIES[f] for f in family_order],
+                                     gt, k, int(seeds[2 + j]))
             bad_path = f"{sid}_bad{j}.pgm"
             save_mask(bad, os.path.join(out_dir, bad_path))
             bad_entries.append({

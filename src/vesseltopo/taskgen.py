@@ -10,8 +10,11 @@ Five task kinds over synthetic vessel scenes:
 
 Every prompt embeds the definition of each topological term it queries plus,
 where applicable, the verbatim scoring rule, so records are self-describing.
-All answers are derived by the topology rule engine and can be re-derived
-from the stored pixels; ``verify_answers`` is that audit.
+Each answer rule is written once, for the generators and for
+``verify_answers``, the audit that re-derives every answer from the stored
+pixels. The audit catches a record that disagrees with its files: stored
+pixels, image path order, provenance, or the counts a refinement prompt
+states. The rules themselves are pinned by an oracle test in the test suite.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    InsufficientStructure,
-    InvalidConfig,
-    RejectedTie,
-)
+from .errors import (DegenerateInput, InsufficientStructure, InvalidConfig,
+                     RejectedTie)
 from .maskio import (
     BinaryMask,
     GrayImage,
@@ -45,10 +44,12 @@ from .synth import (
     generate_vessel,
     perturb_dilate_noise,
     perturb_disconnect,
+    perturb_first,
     perturb_holes,
     perturb_merge,
 )
-from .topology import beta0_matching_error, betti_numbers, count_loops
+from .topology import (TopologySummary, beta0_matching_error, betti_numbers,
+                       count_loops)
 
 TASK_KINDS = (
     "refinement",
@@ -207,60 +208,86 @@ def _pick(pool: str, rng: np.random.Generator) -> tuple[int, str]:
     return idx, TEMPLATES[pool][idx]
 
 
+def _masks(image: GrayImage, *masks: BinaryMask) -> list[BinaryMask]:
+    """Validate the image and the masks; every mask must share its shape."""
+    img = as_gray(image)
+    out = [as_mask(m) for m in masks]
+    for m in out:
+        check_same_shape(img, m)
+    return out
+
+
+# The answer rule of each structure question, for the generators and the audit
+# alike: structure -> (task kind, template pool, definition, rule on the Betti
+# summary of the mask).
+_STRUCTURES = {
+    "loop": ("structure_judgement", "judgement_loop", DEF_LOOP,
+             lambda s: "yes" if s.beta1 > 0 else "no"),
+    "component>1": ("structure_judgement", "judgement_components", DEF_COMPONENT,
+                    lambda s: "yes" if s.beta0 > 1 else "no"),
+    "components": ("structure_counting", "counting_components", DEF_COMPONENT,
+                   lambda s: str(s.beta0)),
+    "loops": ("structure_counting", "counting_loops", DEF_LOOP,
+              lambda s: str(s.beta1)),
+}
+
+
+def _structure_rule(kind: str, structure: str):
+    """(template pool, definition, rule) of a structure question of this kind."""
+    entry = _STRUCTURES.get(structure)
+    if entry is None or entry[0] != kind:
+        raise ValueError(f"unknown structure {structure!r}")
+    return entry[1:]
+
+
+def _quality_answer(ref: TopologySummary, got: TopologySummary) -> str:
+    return "good" if (got.beta0, got.beta1) == (ref.beta0, ref.beta1) else "poor"
+
+
+def _choice_answer(first: BinaryMask, second: BinaryMask,
+                   gt: BinaryMask) -> tuple[str | None, list[int]]:
+    """The slot, A or B, of the strictly lower score (None on a tie); the scores."""
+    scores = [topology_choice_score(first, gt), topology_choice_score(second, gt)]
+    if scores[0] == scores[1]:
+        return None, scores
+    return ("A" if scores[0] < scores[1] else "B"), scores
+
+
+def _count_phrases(ref: TopologySummary) -> tuple[str, str]:
+    """How a prompt states the reference component and loop counts."""
+    return _plural(ref.beta0, "connected component"), _plural(ref.beta1, "loop")
+
+
+def _structure_record(kind: str, image: GrayImage, mask: BinaryMask,
+                      structure: str, seed: int, image_path: str,
+                      mask_path: str) -> TaskRecord:
+    (m,) = _masks(image, mask)
+    pool, definition, rule = _structure_rule(kind, structure)
+    idx, template = _pick(pool, np.random.default_rng(seed))
+    return TaskRecord(
+        task_kind=kind,
+        image_paths=(image_path, mask_path),
+        prompt=template.format(modality=MODALITY_TAG, definition=definition),
+        answer=rule(betti_numbers(m)),
+        target=None,
+        provenance={"seed": seed, "template": [pool, idx], "structure": structure},
+    )
+
+
 def gen_judgement(image: GrayImage, mask: BinaryMask, structure: str, seed: int,
                   image_path: str = "image.pgm",
                   mask_path: str = "mask.pgm") -> TaskRecord:
     """Yes/no judgement: 'loop' asks beta1 > 0, 'component>1' asks beta0 > 1."""
-    img = as_gray(image)
-    m = as_mask(mask)
-    check_same_shape(img, m)
-    rng = np.random.default_rng(seed)
-    summary = betti_numbers(m)
-    if structure == "loop":
-        pool, definition = "judgement_loop", DEF_LOOP
-        answer = "yes" if summary.beta1 > 0 else "no"
-    elif structure == "component>1":
-        pool, definition = "judgement_components", DEF_COMPONENT
-        answer = "yes" if summary.beta0 > 1 else "no"
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
-    idx, template = _pick(pool, rng)
-    prompt = template.format(modality=MODALITY_TAG, definition=definition)
-    return TaskRecord(
-        task_kind="structure_judgement",
-        image_paths=(image_path, mask_path),
-        prompt=prompt,
-        answer=answer,
-        target=None,
-        provenance={"seed": seed, "template": [pool, idx], "structure": structure},
-    )
+    return _structure_record("structure_judgement", image, mask, structure, seed,
+                             image_path, mask_path)
 
 
 def gen_counting(image: GrayImage, mask: BinaryMask, structure: str, seed: int,
                  image_path: str = "image.pgm",
                  mask_path: str = "mask.pgm") -> TaskRecord:
     """Counting: answer is beta0 ('components') or beta1 ('loops') in decimal."""
-    img = as_gray(image)
-    m = as_mask(mask)
-    check_same_shape(img, m)
-    rng = np.random.default_rng(seed)
-    summary = betti_numbers(m)
-    if structure == "components":
-        pool, definition, value = "counting_components", DEF_COMPONENT, summary.beta0
-    elif structure == "loops":
-        pool, definition, value = "counting_loops", DEF_LOOP, summary.beta1
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
-    idx, template = _pick(pool, rng)
-    prompt = template.format(modality=MODALITY_TAG, definition=definition)
-    return TaskRecord(
-        task_kind="structure_counting",
-        image_paths=(image_path, mask_path),
-        prompt=prompt,
-        answer=str(value),
-        target=None,
-        provenance={"seed": seed, "template": [pool, idx], "structure": structure},
-    )
+    return _structure_record("structure_counting", image, mask, structure, seed,
+                             image_path, mask_path)
 
 
 def gen_quality(image: GrayImage, gt_mask: BinaryMask, candidate_mask: BinaryMask,
@@ -268,29 +295,24 @@ def gen_quality(image: GrayImage, gt_mask: BinaryMask, candidate_mask: BinaryMas
                 candidate_path: str = "candidate.pgm",
                 gt_path: str = "gt.pgm") -> TaskRecord:
     """Good/poor verdict; good iff component and loop counts both match gt."""
-    img = as_gray(image)
-    gt = as_mask(gt_mask)
-    cand = as_mask(candidate_mask)
-    check_same_shape(img, gt)
-    check_same_shape(gt, cand)
-    rng = np.random.default_rng(seed)
+    gt, cand = _masks(image, gt_mask, candidate_mask)
     ref = betti_numbers(gt)
-    got = betti_numbers(cand)
-    good = got.beta0 == ref.beta0 and got.beta1 == ref.beta1
-    idx, template = _pick("quality", rng)
+    answer = _quality_answer(ref, betti_numbers(cand))
+    ref_components, ref_loops = _count_phrases(ref)
+    idx, template = _pick("quality", np.random.default_rng(seed))
     prompt = template.format(
         modality=MODALITY_TAG,
         def_component=DEF_COMPONENT,
         def_loop=DEF_LOOP,
         criterion=QUALITY_CRITERION,
-        ref_components=_plural(ref.beta0, "connected component"),
-        ref_loops=_plural(ref.beta1, "loop"),
+        ref_components=ref_components,
+        ref_loops=ref_loops,
     )
     return TaskRecord(
         task_kind="quality_judgement",
         image_paths=(image_path, candidate_path),
         prompt=prompt,
-        answer="good" if good else "poor",
+        answer=answer,
         target=None,
         provenance={"seed": seed, "template": ["quality", idx], "gt": gt_path},
     )
@@ -305,20 +327,14 @@ def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
     The two candidates are presented as A/B in an order randomized from the
     seed and recorded in provenance.
     """
-    img = as_gray(image)
-    ma = as_mask(mask_a)
-    mb = as_mask(mask_b)
-    g = as_mask(gt)
-    for other in (ma, mb, g):
-        check_same_shape(img, other)
+    ma, mb, g = _masks(image, mask_a, mask_b, gt)
     rng = np.random.default_rng(seed)
     swap = bool(rng.integers(2))
     first, second = (mb, ma) if swap else (ma, mb)
     first_path, second_path = (path_b, path_a) if swap else (path_a, path_b)
-    s_first = topology_choice_score(first, g)
-    s_second = topology_choice_score(second, g)
-    if s_first == s_second:
-        raise RejectedTie(f"both candidates score {s_first}")
+    answer, scores = _choice_answer(first, second, g)
+    if answer is None:
+        raise RejectedTie(f"both candidates score {scores[0]}")
     idx, template = _pick("choice", rng)
     prompt = template.format(
         modality=MODALITY_TAG,
@@ -330,14 +346,14 @@ def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
         task_kind="better_choice",
         image_paths=(image_path, first_path, second_path),
         prompt=prompt,
-        answer="A" if s_first < s_second else "B",
+        answer=answer,
         target=None,
         provenance={
             "seed": seed,
             "template": ["choice", idx],
             "gt": gt_path,
             "order": "ba" if swap else "ab",
-            "scores": [s_first, s_second],
+            "scores": scores,
         },
     )
 
@@ -351,22 +367,17 @@ def gen_refinement(image: GrayImage, imperfect_mask: BinaryMask,
 
     The prompt states the expected component and loop counts of the target.
     """
-    img = as_gray(image)
-    imperfect = as_mask(imperfect_mask)
-    gt = as_mask(gt_mask)
-    check_same_shape(img, imperfect)
-    check_same_shape(imperfect, gt)
+    imperfect, gt = _masks(image, imperfect_mask, gt_mask)
     if (imperfect == gt).all():
         raise DegenerateInput("imperfect mask is identical to the ground truth")
-    rng = np.random.default_rng(seed)
-    ref = betti_numbers(gt)
-    idx, template = _pick("refinement", rng)
+    components_phrase, loops_phrase = _count_phrases(betti_numbers(gt))
+    idx, template = _pick("refinement", np.random.default_rng(seed))
     prompt = template.format(
         modality=MODALITY_TAG,
         def_component=DEF_COMPONENT,
         def_loop=DEF_LOOP,
-        components_phrase=_plural(ref.beta0, "connected component"),
-        loops_phrase=_plural(ref.beta1, "loop"),
+        components_phrase=components_phrase,
+        loops_phrase=loops_phrase,
     )
     return TaskRecord(
         task_kind="refinement",
@@ -424,22 +435,10 @@ def _scene(cfg: DatasetConfig, split: str, seed: int, n_trees: int,
     return generate_vessel(params), params
 
 
-def _perturb_any(gt: BinaryMask, k: int, seed: int,
-                 preferred: str) -> tuple[BinaryMask, str]:
-    """Apply the preferred perturbation family, falling back to the others."""
-    families = {
-        "disconnect": perturb_disconnect,
-        "merge": perturb_merge,
-        "hole": perturb_holes,
-    }
-    order = [preferred] + sorted(set(families) - {preferred})
-    for name in order:
-        try:
-            bad, _ = families[name](gt, k, seed)
-            return bad, name
-        except InsufficientStructure:
-            continue
-    raise InsufficientStructure(f"no perturbation family applicable (k={k})")
+def _perturb_any(gt: BinaryMask, k: int, seed: int) -> BinaryMask:
+    """Cut k gaps, or failing that punch k holes, or draw k bridges."""
+    return perturb_first((perturb_disconnect, perturb_holes, perturb_merge),
+                         gt, k, seed)[0]
 
 
 def _spawned_ints(ss: np.random.SeedSequence, n: int) -> list[int]:
@@ -515,8 +514,7 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                 if want_good:
                     cand, _ = perturb_dilate_noise(gt, seeds[3])
                 else:
-                    cand, _ = _perturb_any(gt, int(rng.integers(1, 3)), seeds[3],
-                                           preferred="disconnect")
+                    cand = _perturb_any(gt, int(rng.integers(1, 3)), seeds[3])
                 record = gen_quality(image, gt, cand, seeds[2],
                                      img_path("img"), img_path("cand"),
                                      img_path("gt"))
@@ -526,9 +524,8 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
             elif kind == "better_choice":
                 want = "AB"[i % 2]
                 (image, gt, _), params = _scene(cfg, split, seeds[1], 1, 0)
-                cand1, _ = _perturb_any(gt, 1, seeds[3], preferred="disconnect")
-                cand2, _ = _perturb_any(gt, int(rng.integers(2, 4)), seeds[4],
-                                        preferred="disconnect")
+                cand1 = _perturb_any(gt, 1, seeds[3])
+                cand2 = _perturb_any(gt, int(rng.integers(2, 4)), seeds[4])
                 # storage names are neutral; the A/B presentation order is
                 # carried by the record's image path order
                 record = gen_choice(image, cand1, cand2, gt, seeds[2],
@@ -537,18 +534,15 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
                 if record.answer != want:
                     continue
                 extra = {"cand0": cand1, "cand1": cand2}
-            elif kind == "refinement":
+            else:  # refinement, the last of TASK_KINDS
                 (image, gt, _), params = _scene(cfg, split, seeds[1],
                                                 int(rng.integers(1, 3)),
                                                 int(rng.integers(0, 2)))
-                bad, _ = _perturb_any(gt, int(rng.integers(1, 4)), seeds[3],
-                                      preferred="disconnect")
+                bad = _perturb_any(gt, int(rng.integers(1, 4)), seeds[3])
                 record = gen_refinement(image, bad, gt, seeds[2],
                                         img_path("img"), img_path("bad"),
                                         img_path("gt"))
                 extra = {"bad": bad}
-            else:
-                raise InvalidConfig(f"unknown task kind {kind!r}")
         except (InsufficientStructure, RejectedTie, DegenerateInput):
             continue
         save_image(image, os.path.join(out, img_path("img")))
@@ -571,55 +565,35 @@ class VerificationReport:
     per_kind: dict[str, int]
 
 
-def _paths_of(record: dict, base: str) -> list[str]:
-    return [os.path.join(base, p) for p in record["images"]]
-
-
 def _recompute_answer(record: dict, base: str) -> str:
-    """Re-derive a record's answer from pixels alone."""
+    """Re-derive a record's answer from pixels, by the generators' own rules."""
     kind = record["task_kind"]
-    paths = _paths_of(record, base)
-    if kind == "structure_judgement":
-        mask = load_mask(paths[-1])
-        summary = betti_numbers(mask)
-        if record["provenance"]["structure"] == "loop":
-            return "yes" if summary.beta1 > 0 else "no"
-        return "yes" if summary.beta0 > 1 else "no"
-    if kind == "structure_counting":
-        mask = load_mask(paths[-1])
-        summary = betti_numbers(mask)
-        if record["provenance"]["structure"] == "components":
-            return str(summary.beta0)
-        return str(summary.beta1)
+    paths = [os.path.join(base, p) for p in record["images"]]
+    if kind in ("structure_judgement", "structure_counting"):
+        _, _, rule = _structure_rule(kind, record["provenance"]["structure"])
+        return rule(betti_numbers(load_mask(paths[-1])))
     if kind == "quality_judgement":
         cand = load_mask(paths[-1])
         gt = load_mask(os.path.join(base, record["provenance"]["gt"]))
-        ref, got = betti_numbers(gt), betti_numbers(cand)
-        good = got.beta0 == ref.beta0 and got.beta1 == ref.beta1
-        return "good" if good else "poor"
+        return _quality_answer(betti_numbers(gt), betti_numbers(cand))
     if kind == "better_choice":
         first = load_mask(paths[1])
         second = load_mask(paths[2])
         gt = load_mask(os.path.join(base, record["provenance"]["gt"]))
-        s_first = topology_choice_score(first, gt)
-        s_second = topology_choice_score(second, gt)
-        if s_first == s_second:
-            return "<tie>"
-        return "A" if s_first < s_second else "B"
+        return _choice_answer(first, second, gt)[0] or "<tie>"
     if kind == "refinement":
         gt = load_mask(os.path.join(base, record["target"]))
-        ref = betti_numbers(gt)
-        comp_ok = _plural(ref.beta0, "connected component") in record["prompt"]
-        loop_ok = _plural(ref.beta1, "loop") in record["prompt"]
-        return record["target"] if comp_ok and loop_ok else "<bad-constraint>"
+        stated = all(p in record["prompt"] for p in _count_phrases(betti_numbers(gt)))
+        return record["target"] if stated else "<bad-constraint>"
     raise InvalidConfig(f"unknown task kind {kind!r}")
 
 
 def verify_answers(manifest_path) -> VerificationReport:
     """Recompute every answer from stored pixels and tally mismatches.
 
-    Raises OSError naming the record when a referenced file is missing and
-    FormatError when a referenced file is not a valid PGM.
+    Raises OSError naming the record when a referenced file is missing,
+    FormatError when a referenced file is not a valid PGM, and ValueError on
+    a structure its record's task kind does not ask.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path, "r", encoding="utf-8") as fh:

@@ -47,7 +47,7 @@ from vesseltopo.topology import (
     skeletonize,
 )
 
-from oracles import bounded_background_components, naive_flood_labels
+from tests.oracles import bounded_background_components, naive_flood_labels
 
 
 def _warm_up():

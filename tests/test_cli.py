@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vesseltopo.cli import main
+from vesseltopo.flowgen import TrainConfig, VelocityModel, save_checkpoint
 from vesseltopo.maskio import save_mask
 from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
 
@@ -186,16 +187,29 @@ def test_malformed_manifest_record_exits_2(capsys, tmp_path, line):
     assert "lacks image, gt or bad paths" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("blob", [
-    {"version": 1},
-    {"version": 1, "config": {"steps": 1}, "widths": [6, 4, 4, 1]},  # no params
-    [1, 2],
-], ids=["no-config", "no-params", "list"])
-def test_refine_on_malformed_checkpoint_exits_2(capsys, tmp_path, train_data, blob):
+def _with_config(blob, **config):
+    return {**blob, "config": {**blob["config"], **config}}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda valid: {"version": 1},
+    lambda valid: {"version": 1, "config": {"steps": 1}, "widths": [6, 4, 4, 1]},
+    lambda valid: [1, 2],
+    lambda valid: _with_config(valid, hidden="4"),
+    lambda valid: _with_config(valid, hidden=True),
+    lambda valid: _with_config(valid, steps=0),
+    lambda valid: {**valid, "params": [{"weight": [[1]], "bias": [0]}]},
+    lambda valid: {**valid, "widths": [6, 8, 8, 1]},  # hidden-16 parameters
+    lambda valid: {**valid, "params": valid["params"][:-1] + [
+        {"weight": valid["params"][-1]["weight"], "bias": [float("nan")]}]},
+], ids=["no-config", "no-params", "list", "hidden-str", "hidden-bool", "steps-0",
+        "weight-1x1", "widths-8", "nan-bias"])
+def test_refine_on_malformed_checkpoint_exits_2(capsys, tmp_path, train_data, edit):
     ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps(blob))
+    save_checkpoint(VelocityModel(hidden=16), TrainConfig(steps=1), ck)
+    ck.write_text(json.dumps(edit(json.loads(ck.read_text()))))
     assert main(["refine", "--checkpoint", str(ck), "--data", str(train_data)]) == 2
-    assert "checkpoint" in capsys.readouterr().err
+    assert f"checkpoint {ck}" in capsys.readouterr().err
 
 
 def test_no_adaptive_flag_sets_lambda_off(tmp_path, capsys):

@@ -15,12 +15,13 @@ from vesseltopo.synth import (
     generate_vessel,
     perturb_dilate_noise,
     perturb_disconnect,
+    perturb_first,
     perturb_holes,
     perturb_merge,
 )
 from vesseltopo.topology import TopologySummary, betti_numbers
 
-from oracles import _stamp_disk, local_halfwidth, stamp_tube
+from tests.oracles import _stamp_disk, local_halfwidth, stamp_tube
 
 
 def straight_tube(width=40, thickness=5):
@@ -243,6 +244,20 @@ def test_merge_noop_and_insufficient():
         perturb_merge(lone, 1, seed=0)
     with pytest.raises(InsufficientStructure, match="no foreground"):
         perturb_merge(np.zeros((8, 8), dtype=bool), 1, seed=0)
+
+
+def test_perturb_first_takes_the_first_family_that_applies():
+    line = np.zeros((16, 32), dtype=bool)
+    line[8, 2:30] = True  # no interior pixel, so no hole can be punched
+    out, log = perturb_first((perturb_holes, perturb_disconnect), line, 1, seed=3)
+    want, want_log = perturb_disconnect(line, 1, seed=3)
+    assert np.array_equal(out, want) and log == want_log
+    assert perturb_first((perturb_holes, perturb_disconnect), straight_tube(), 1,
+                         seed=3)[1].kind == "hole"
+    with pytest.raises(InsufficientStructure,
+                       match=r"no perturbation family applicable \(k=2\)"):
+        perturb_first((perturb_holes, perturb_merge), np.zeros((8, 8), dtype=bool),
+                      2, seed=0)
 
 
 def annulus(size=24, width=3):

@@ -1,11 +1,13 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from vesseltopo.errors import DegenerateInput, DimensionMismatch, RejectedTie
-from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
+from vesseltopo.maskio import load_image, load_mask
+from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect, perturb_holes
 from vesseltopo.taskgen import (
     TASK_KINDS,
     TEMPLATES,
@@ -20,6 +22,9 @@ from vesseltopo.taskgen import (
     topology_choice_score,
     verify_answers,
 )
+from vesseltopo.topology import beta0_matching_error
+
+from tests.oracles import bounded_background_components, naive_flood_labels
 
 
 def gray_for(mask):
@@ -273,3 +278,56 @@ def test_verify_missing_image_names_record(small_dataset, tmp_path):
                                       for r in records) + "\n")
     with pytest.raises(OSError, match="record 0"):
         verify_answers(bad_manifest)
+
+
+def _oracle_betti(mask):
+    return naive_flood_labels(mask, 8)[1], bounded_background_components(mask)
+
+
+def _stated_counts(prompt):
+    """The (components, loops) a prompt states, each with a correct plural."""
+    counts = []
+    for noun in ("connected component", "loop"):
+        (n, plural), = re.findall(rf"(\d+) {noun}(s?)\b", prompt)
+        assert plural == ("" if n == "1" else "s"), prompt
+        counts.append(int(n))
+    return tuple(counts)
+
+
+def test_every_answer_matches_the_oracles(small_dataset):
+    """Re-derive each stored answer with the brute-force oracles.
+
+    The audit shares the generators' rules, so it cannot see a wrong rule;
+    this test can. Quality candidates in the dataset all differ from their
+    gt in component count, so each gt is also judged against itself with a
+    hole punched, where only the loop count differs.
+    """
+    manifest, base = small_dataset
+    records = [json.loads(line) for line in open(manifest)]
+    for r in records:
+        kind, prov = r["task_kind"], r["provenance"]
+        masks = [load_mask(base / rel) for rel in r["images"][1:]]
+        if kind == "structure_judgement":
+            b0, b1 = _oracle_betti(masks[0])
+            want = "yes" if (b1 > 0 if prov["structure"] == "loop" else b0 > 1) else "no"
+        elif kind == "structure_counting":
+            want = str(_oracle_betti(masks[0])[prov["structure"] == "loops"])
+        elif kind == "quality_judgement":
+            gt = load_mask(base / prov["gt"])
+            assert _stated_counts(r["prompt"]) == _oracle_betti(gt)
+            want = "good" if _oracle_betti(masks[0]) == _oracle_betti(gt) else "poor"
+            holed, _ = perturb_holes(gt, 1, seed=0)
+            assert _oracle_betti(holed)[0] == _oracle_betti(gt)[0]
+            image = load_image(base / r["images"][0])
+            assert gen_quality(image, gt, holed, seed=0).answer == "poor"
+        elif kind == "better_choice":
+            gt = load_mask(base / prov["gt"])
+            scores = [beta0_matching_error(m, gt)
+                      + abs(_oracle_betti(m)[1] - _oracle_betti(gt)[1]) for m in masks]
+            assert prov["scores"] == scores and scores[0] != scores[1]
+            want = "A" if scores[0] < scores[1] else "B"
+        else:
+            gt = load_mask(base / r["target"])
+            assert _stated_counts(r["prompt"]) == _oracle_betti(gt)
+            want = r["target"]
+        assert r["answer"] == want, (kind, r["prompt"])

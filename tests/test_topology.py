@@ -23,7 +23,7 @@ from vesseltopo.topology import (
     skeletonize,
 )
 
-from oracles import (
+from tests.oracles import (
     _code_at,
     _stamp_disk,
     _thin_inplace,
