@@ -13,8 +13,9 @@ where applicable, the verbatim scoring rule, so records are self-describing.
 Each answer rule is written once, for the generators and for
 ``verify_answers``, the audit that re-derives every answer from the stored
 pixels. The audit catches a record that disagrees with its files: stored
-pixels, image path order, provenance, or the counts a refinement prompt
-states. The rules themselves are pinned by an oracle test in the test suite.
+pixels, image path order, provenance, or the counts a refinement or
+quality prompt states. The rules themselves are pinned by an oracle test in
+the test suite.
 """
 
 from __future__ import annotations
@@ -256,6 +257,18 @@ def _choice_answer(first: BinaryMask, second: BinaryMask,
 def _count_phrases(ref: TopologySummary) -> tuple[str, str]:
     """How a prompt states the reference component and loop counts."""
     return _plural(ref.beta0, "connected component"), _plural(ref.beta1, "loop")
+
+
+_COUNT_STATEMENT = re.compile(r"\d+ (?:connected component|loop)s?\b")
+
+
+def _states_counts(prompt: str, ref: TopologySummary) -> bool:
+    """Whether the prompt states the reference counts, and no other counts.
+
+    Numbers compare whole: "1 connected component" does not match inside
+    "11 connected components".
+    """
+    return _COUNT_STATEMENT.findall(prompt) == list(_count_phrases(ref))
 
 
 def _structure_record(kind: str, image: GrayImage, mask: BinaryMask,
@@ -574,8 +587,10 @@ def _recompute_answer(record: dict, base: str) -> str:
         return rule(betti_numbers(load_mask(paths[-1])))
     if kind == "quality_judgement":
         cand = load_mask(paths[-1])
-        gt = load_mask(os.path.join(base, record["provenance"]["gt"]))
-        return _quality_answer(betti_numbers(gt), betti_numbers(cand))
+        ref = betti_numbers(load_mask(os.path.join(base, record["provenance"]["gt"])))
+        if not _states_counts(record["prompt"], ref):
+            return "<bad-constraint>"
+        return _quality_answer(ref, betti_numbers(cand))
     if kind == "better_choice":
         first = load_mask(paths[1])
         second = load_mask(paths[2])
@@ -583,7 +598,7 @@ def _recompute_answer(record: dict, base: str) -> str:
         return _choice_answer(first, second, gt)[0] or "<tie>"
     if kind == "refinement":
         gt = load_mask(os.path.join(base, record["target"]))
-        stated = all(p in record["prompt"] for p in _count_phrases(betti_numbers(gt)))
+        stated = _states_counts(record["prompt"], betti_numbers(gt))
         return record["target"] if stated else "<bad-constraint>"
     raise InvalidConfig(f"unknown task kind {kind!r}")
 

@@ -5,13 +5,16 @@ labeling is a naive flood fill, the Euler characteristic is
 counted from explicit vertex/edge/face sets, and loop counts come from
 the bounded-background duality. The reference thinner is the plain
 pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly,
-and the reference rasteriser stamps one disk per call, as the vectorised
-``synth._disk_pixels`` must reproduce exactly.
+the reference rasteriser stamps one disk per call, as the vectorised
+``synth._disk_pixels`` must reproduce exactly, and the reference 3x3
+convolution is the einsum form whose bits the matrix products of
+``flowgen._conv3`` and ``flowgen._conv3_backward`` must reproduce.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _OFFS = {
     8: [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
@@ -178,3 +181,25 @@ def local_halfwidth(mask, y, x, cap=6):
         else:
             break
     return best
+
+
+def einsum_conv3(x, weight, bias):
+    """Same-padded 3x3 convolution; returns output and the window view."""
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
+    out = np.einsum("fcij,chwij->fhw", weight, win, optimize=True)
+    return out + bias[:, None, None], win
+
+
+def einsum_conv3_backward(weight, win, dout, in_shape):
+    """Weight, bias and input gradients of ``einsum_conv3``."""
+    d_weight = np.einsum("fhw,chwij->fcij", dout, win, optimize=True)
+    d_bias = dout.sum(axis=(1, 2))
+    c, h, w = in_shape
+    dxp = np.zeros((c, h + 2, w + 2))
+    for i in range(3):
+        for j in range(3):
+            dxp[:, i:i + h, j:j + w] += np.einsum(
+                "fc,fhw->chw", weight[:, :, i, j], dout, optimize=True
+            )
+    return d_weight, d_bias, dxp[:, 1:-1, 1:-1]

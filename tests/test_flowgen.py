@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vesseltopo import flowgen
 from vesseltopo.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 from vesseltopo.flowgen import (
     TokenWeightMap,
@@ -23,6 +24,8 @@ from vesseltopo.flowgen import (
     weighted_flow_loss,
 )
 from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
+
+from tests.oracles import einsum_conv3, einsum_conv3_backward
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +164,71 @@ def test_gradient_matches_central_differences():
                     an = grads[li][k].ravel()[idx]
                     worst = max(worst, abs(an - fd) / max(abs(fd), 1e-6))
     assert worst < 1e-4
+
+
+# ----------------------- convolutions vs einsum --------------------------- #
+
+CONV_CHANNELS = [(6, 16), (16, 16), (16, 1), (6, 4), (4, 1), (6, 32), (32, 32),
+                 (32, 1)]
+CONV_CANVASES = [(1, 1), (3, 5), (8, 8), (16, 8), (24, 24), (32, 32), (40, 16),
+                 (64, 64), (8, 64)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("c,f", CONV_CHANNELS)
+def test_conv_matches_einsum_oracle_bit_for_bit(c, f):
+    rng = np.random.default_rng(100 * c + f)
+    for h, w in CONV_CANVASES:
+        x = rng.normal(size=(c, h, w))
+        weight = rng.normal(size=(f, c, 3, 3))
+        bias = rng.normal(size=f)
+        out, win = flowgen._conv3(x, weight, bias)
+        want, want_win = einsum_conv3(x, weight, bias)
+        assert _same_bits(out, want) and out.strides == want.strides, (h, w)
+        # output gradients as backward forms them: dense, in the layout of a
+        # conv output, and ReLU-masked from a padded slice (zeros of both signs)
+        dxp = np.zeros((f, h + 2, w + 2))
+        dxp[:, 1:-1, 1:-1] = rng.normal(size=(f, h, w))
+        masked = dxp[:, 1:-1, 1:-1] * (out > 0)
+        for dout in (rng.normal(size=(f, h, w)), want, masked, -masked):
+            got = flowgen._conv3_backward(weight, win, dout)
+            ref = einsum_conv3_backward(weight, want_win, dout, x.shape)
+            no_input = flowgen._conv3_backward(weight, win, dout, input_grad=False)
+            assert no_input[2] is None
+            assert all(_same_bits(a, b) for a, b in zip(no_input[:2], got[:2]))
+            if h * w == 1:
+                # einsum turns a one-term weight-gradient sum into a plain
+                # product, which keeps the -0.0 that a matrix product's sum
+                # turns into +0.0; the values are equal
+                assert np.array_equal(got[0], ref[0])
+                got, ref = (got[0] + 0.0, *got[1:]), (ref[0] + 0.0, *ref[1:])
+            for name, a, b in zip(("d_weight", "d_bias", "d_input"), got, ref):
+                assert _same_bits(a, b), (h, w, name)
+
+
+def test_train_matches_einsum_oracle_conv(monkeypatch, triple):
+    """A 20-step run gives the same losses and parameter bytes as one on the
+    einsum convolutions."""
+    img, bad, gt = triple
+    quarters = [(img[s], bad[s], gt[s]) for s in
+                (np.s_[:16, :16], np.s_[16:, 16:])]
+    config = TrainConfig(steps=20, batch_size=2, seed=4)
+    got = train(config, quarters)
+
+    def backward(weight, win, dout, input_grad=True):
+        return einsum_conv3_backward(weight, win, dout,
+                                     (weight.shape[1], *dout.shape[1:]))
+
+    monkeypatch.setattr(flowgen, "_conv3", einsum_conv3)
+    monkeypatch.setattr(flowgen, "_conv3_backward", backward)
+    want = train(config, quarters)
+    assert got.losses == want.losses
+    for got_layer, want_layer in zip(got.model.params, want.model.params):
+        for a, b in zip(got_layer, want_layer):
+            assert _same_bits(a, b)
 
 
 # ------------------------------ training ---------------------------------- #

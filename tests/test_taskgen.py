@@ -251,17 +251,35 @@ def test_verify_catches_flipped_answer(small_dataset, tmp_path):
     flip = next(i for i, r in enumerate(records)
                 if r["task_kind"] == "structure_judgement")
     records[flip]["answer"] = "yes" if records[flip]["answer"] == "no" else "no"
-    bad_dir = tmp_path / "flipped"
-    bad_dir.mkdir()
-    for f in src.iterdir():
-        if f.suffix == ".pgm":
-            (bad_dir / f.name).write_bytes(f.read_bytes())
-    bad_manifest = bad_dir / "manifest.jsonl"
-    bad_manifest.write_text("\n".join(json.dumps(r, sort_keys=True)
-                                      for r in records) + "\n")
-    report = verify_answers(bad_manifest)
+    report = verify_answers(_rewritten(src, records, tmp_path / "flipped"))
     assert report.mismatch_count == 1
     assert report.mismatch_records == (flip,)
+
+
+def _rewritten(src, records, dest):
+    """A copy of the dataset at ``src`` whose manifest holds ``records``."""
+    dest.mkdir()
+    for f in src.iterdir():
+        if f.suffix == ".pgm":
+            (dest / f.name).write_bytes(f.read_bytes())
+    manifest = dest / "manifest.jsonl"
+    manifest.write_text("\n".join(json.dumps(r, sort_keys=True)
+                                  for r in records) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("kind,edited", [("refinement", "11 connected components"),
+                                         ("quality_judgement", "7 connected components")])
+def test_verify_catches_edited_component_count(small_dataset, tmp_path, kind, edited):
+    """A stated count is compared as a whole number, not as a substring."""
+    manifest, src = small_dataset
+    records = [json.loads(line) for line in open(manifest)]
+    stated = re.compile(r"\b1 connected component\b")
+    edit = next(i for i, r in enumerate(records)
+                if r["task_kind"] == kind and stated.search(r["prompt"]))
+    records[edit]["prompt"] = stated.sub(edited, records[edit]["prompt"])
+    report = verify_answers(_rewritten(src, records, tmp_path / "edited"))
+    assert report.mismatch_records == (edit,)
 
 
 def test_verify_missing_image_names_record(small_dataset, tmp_path):
