@@ -43,10 +43,10 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _defaults(config_class, skip=()) -> dict:
-    """The plain defaults of a config dataclass's fields, minus skip."""
+def _defaults(config_class) -> dict:
+    """The plain defaults of a config dataclass's fields."""
     return {f.name: f.default for f in fields(config_class)
-            if f.default is not MISSING and f.name not in skip}
+            if f.default is not MISSING}
 
 
 def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
@@ -117,18 +117,7 @@ def cmd_metrics(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    params = VesselParams(
-        width=args.width,
-        height=args.height,
-        n_trees=args.trees,
-        branch_depth=args.depth,
-        branch_prob=args.branch_prob,
-        radius_root=args.radius,
-        radius_min=args.radius_min,
-        n_loops=args.loops,
-        background_noise_sigma=args.noise,
-        seed=args.seed,
-    )
+    params = VesselParams(**_merged(args, {}, _defaults(VesselParams)))
     manifest = emit_samples(args.out, params, args.count, n_bad=args.bad,
                             max_k=args.max_k)
     print(manifest)
@@ -160,10 +149,9 @@ def cmd_taskgen(args) -> None:
 
 def cmd_train(args) -> None:
     file_cfg = _read_config_file(args.config)
-    # TrainConfig.steps has no default; weighting comes from --no-adaptive only
-    merged = _merged(args, file_cfg,
-                     {"steps": 2000, **_defaults(TrainConfig, skip={"weighting"})})
-    config = TrainConfig(weighting=not args.no_adaptive, **merged)
+    # TrainConfig.steps has no default
+    config = TrainConfig(**_merged(args, file_cfg,
+                                   {"steps": 2000, **_defaults(TrainConfig)}))
     triples = _load_triples(args.data, args.limit)
     result = train(config, triples)
     save_checkpoint(result.model, config, args.checkpoint)
@@ -203,16 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate vessel scenes with perturbed variants")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--trees", type=int, default=1)
-    p.add_argument("--loops", type=int, default=0)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--branch-prob", type=float, default=0.7)
-    p.add_argument("--radius", type=float, default=2.5)
-    p.add_argument("--radius-min", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.04)
+    # unset flags take VesselParams' defaults
+    p.add_argument("--seed", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--trees", dest="n_trees", type=int)
+    p.add_argument("--loops", dest="n_loops", type=int)
+    p.add_argument("--depth", dest="branch_depth", type=int)
+    p.add_argument("--branch-prob", dest="branch_prob", type=float)
+    p.add_argument("--radius", dest="radius_root", type=float)
+    p.add_argument("--radius-min", dest="radius_min", type=float)
+    p.add_argument("--noise", dest="background_noise_sigma", type=float)
     p.add_argument("--bad", type=int, default=1, help="perturbed variants per scene")
     p.add_argument("--max-k", type=int, default=3, help="max perturbation strength")
     p.set_defaults(func=cmd_synth)
@@ -238,14 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lambda", dest="lam", type=float, default=None)
+    group.add_argument("--no-adaptive", dest="lam", action="store_const", const=0.0,
+                       help="disable adaptive weighting: the same as --lambda 0")
     p.add_argument("--patch", dest="patch_size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--limit", type=int, default=None, help="cap training triples")
     p.add_argument("--loss-curve", default=None, help="loss curve CSV path")
-    p.add_argument("--no-adaptive", action="store_true",
-                   help="disable adaptive weighting (lambda = 0)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("refine", help="evaluate refinement quality of a checkpoint")
@@ -272,10 +262,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError, VesselTopoError) as exc:
-        if isinstance(exc, NonFiniteLoss):
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 3
+    except NonFiniteLoss as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError, VesselTopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant failures and bugs

@@ -75,11 +75,9 @@ class TokenWeightMap:
     """Per-token weights on the patch grid; w_i in [1, 1 + lam] always."""
 
     weights: np.ndarray
-    lam: float = 10.0
 
 
-def token_weights(e_map: np.ndarray, patch_size: int,
-                  lam: float = 10.0) -> TokenWeightMap:
+def token_weights(e_map: np.ndarray, patch_size: int, lam: float) -> TokenWeightMap:
     """w_i = 1 + lam * e_i with e_i the mean patch error over E_MAX."""
     e_arr = np.asarray(e_map, dtype=np.float64)
     h, w = e_arr.shape
@@ -91,7 +89,7 @@ def token_weights(e_map: np.ndarray, patch_size: int,
         raise ValueError(f"error map entries must lie in [0, {E_MAX}]")
     ht, wt = h // patch_size, w // patch_size
     e_tok = e_arr.reshape(ht, patch_size, wt, patch_size).mean(axis=(1, 3)) / E_MAX
-    return TokenWeightMap(weights=1.0 + lam * e_tok, lam=lam)
+    return TokenWeightMap(weights=1.0 + lam * e_tok)
 
 
 def _broadcast_weights(w: TokenWeightMap, shape: tuple[int, int]) -> np.ndarray:
@@ -251,12 +249,12 @@ def training_loss_and_grads(model: VelocityModel, z: np.ndarray, tau: float,
 class _Adam:
     """First-order adaptive-moment update."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [[np.zeros_like(a) for a in layer] for layer in params]
         self.v = [[np.zeros_like(a) for a in layer] for layer in params]
@@ -284,23 +282,22 @@ class TrainConfig:
     steps: int
     batch_size: int = 4
     learning_rate: float = 1e-3
-    lam: float = 10.0
+    lam: float = 10.0  # adaptive weighting strength; 0 is plain flow matching
     patch_size: int = 8
-    weighting: bool = True
     seed: int = 0
     hidden: int = 16
 
     def validate(self) -> None:
+        # each test is written so that NaN, which fails every comparison, fails it
         if self.steps < 1:
             raise InvalidConfig("steps must be >= 1")
-        if self.lam < 0:
-            raise InvalidConfig("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, "
+                                f"got {self.learning_rate}")
         if self.batch_size < 1 or self.patch_size < 1 or self.hidden < 1:
             raise InvalidConfig("batch_size, patch_size, hidden must be >= 1")
-
-    @property
-    def effective_lam(self) -> float:
-        return self.lam if self.weighting else 0.0
 
 
 @dataclass
@@ -356,7 +353,6 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
     model = VelocityModel(hidden=config.hidden, seed=model_ss)
     rng = np.random.default_rng(data_ss)
     opt = _Adam(model.params, lr=config.learning_rate)
-    lam = config.effective_lam
     losses: list[float] = []
     for step in range(config.steps):
         batch_loss = 0.0
@@ -371,7 +367,7 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
             z0 = predict_clean(z, tau, v_pred)
             y_img = np.clip(z0, 0.0, 1.0)
             e_map = error_map(x, y_img)
-            wmap = token_weights(e_map, config.patch_size, lam)
+            wmap = token_weights(e_map, config.patch_size, config.lam)
             loss, d_v = _loss_and_dv(v_pred, v_t, wmap)
             batch_loss += loss
             grads = model.backward(caches, d_v)
@@ -433,6 +429,9 @@ def _checkpoint_from(blob) -> tuple[VelocityModel, TrainConfig]:
         # older checkpoints also stored their own output paths; drop them
         stored.pop("checkpoint_path", None)
         stored.pop("loss_curve_path", None)
+        # and a weighting switch, whose off state trained with lambda 0
+        if not typed("weighting", stored.pop("weighting", True), bool):
+            stored["lam"] = 0.0
         config = TrainConfig(**stored)
     except (KeyError, TypeError) as exc:  # missing, not a mapping, bad keys
         raise InvalidConfig(f"bad config: {exc}") from None
@@ -482,8 +481,7 @@ def sample(model: VelocityModel, image: GrayImage, imperfect, steps: int,
 
 
 def refine_eval(model: VelocityModel, triples: Sequence, steps: int = 16,
-                mask_threshold: float = 0.5, seed: int = 0,
-                csv_path=None) -> tuple[MetricReport, MetricReport]:
+                seed: int = 0, csv_path=None) -> tuple[MetricReport, MetricReport]:
     """Score imperfect inputs and refined outputs against the ground truth.
 
     Returns the aggregated (input, refined) report pair; per-sample rows and
@@ -499,7 +497,7 @@ def refine_eval(model: VelocityModel, triples: Sequence, steps: int = 16,
         summary = betti_numbers(gt_mask)
         refined_img = sample(model, image, imperfect, steps, seed + i,
                              summary.beta0, summary.beta1)
-        refined_mask = threshold(refined_img, mask_threshold)
+        refined_mask = threshold(refined_img, 0.5)
         rep_in = metric_report(as_mask(imperfect), gt_mask)
         rep_out = metric_report(refined_mask, gt_mask)
         input_reports.append(rep_in)

@@ -44,18 +44,21 @@ class VesselParams:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.radius_min < 1:
-            raise InvalidParams("radius_min must be >= 1")
-        if self.radius_root < self.radius_min:
-            raise InvalidParams("radius_root must be >= radius_min")
+        # the float tests are written so that NaN, which fails every
+        # comparison, fails them too
+        if not 1 <= self.radius_min <= self.radius_root < math.inf:
+            raise InvalidParams("need finite radii with 1 <= radius_min <= radius_root, "
+                                f"got radius_min={self.radius_min}, "
+                                f"radius_root={self.radius_root}")
         if self.branch_depth < 1:
             raise InvalidParams("branch_depth must be >= 1")
         if not 0.0 <= self.branch_prob <= 1.0:
             raise InvalidParams("branch_prob must be in [0, 1]")
         if self.n_trees < 1 or self.n_loops < 0:
             raise InvalidParams("need n_trees >= 1 and n_loops >= 0")
-        if self.background_noise_sigma < 0:
-            raise InvalidParams("background_noise_sigma must be >= 0")
+        if not 0 <= self.background_noise_sigma < math.inf:
+            raise InvalidParams("background_noise_sigma must be finite and >= 0, "
+                                f"got {self.background_noise_sigma}")
         if min(self.width, self.height) < 8 * self.radius_root:
             raise InvalidParams(
                 f"canvas {self.width}x{self.height} too small for "
@@ -447,8 +450,7 @@ def perturb_holes(mask: BinaryMask, k: int,
     return _perturb("hole", "punch hole", m, k, seed, {(0, 1)}, holes)
 
 
-def perturb_dilate_noise(mask: BinaryMask, seed: int,
-                         grow_prob: float = 0.35) -> tuple[BinaryMask, PerturbationLog]:
+def perturb_dilate_noise(mask: BinaryMask, seed: int) -> tuple[BinaryMask, PerturbationLog]:
     """Thicken a random subset of the boundary without changing topology.
 
     Produces a mask that differs from the input but has verified identical
@@ -461,7 +463,8 @@ def perturb_dilate_noise(mask: BinaryMask, seed: int,
     candidates = np.argwhere((_neighbor_count(m) > 0) & ~m)
     if len(candidates) == 0:
         return m, PerturbationLog("dilate-noise", (), 0, 0)
-    chosen = candidates[rng.random(len(candidates)) < grow_prob]
+    # each background pixel next to the mask is proposed with probability 0.35
+    chosen = candidates[rng.random(len(candidates)) < 0.35]
     cur = m
     sites: list[tuple[int, int]] = []
     for y, x in chosen:
@@ -500,6 +503,10 @@ def emit_samples(out_dir, params: VesselParams, count: int,
     files, with one manifest record per sample carrying the perturbation
     logs. Paths in the manifest are relative to the output directory.
     """
+    if not (count >= 0 and n_bad >= 0 and max_k >= 1):
+        raise InvalidParams(f"need count >= 0, n_bad >= 0 and max_k >= 1, got "
+                            f"count={count}, n_bad={n_bad}, max_k={max_k}")
+    params.validate()
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     sample_seeds = np.random.SeedSequence(params.seed).spawn(count)

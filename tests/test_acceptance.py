@@ -286,7 +286,7 @@ def test_acceptance_8_directional_adaptive_weighting():
         eval_triples = _refinement_triples(n_eval, seed0=100_000 * (exp_seed + 1) + 50_000)
         for lam in (10.0, 0.0):
             config = TrainConfig(steps=2000, batch_size=4, learning_rate=1e-3,
-                                 lam=lam, weighting=lam > 0, patch_size=8,
+                                 lam=lam, patch_size=8,
                                  hidden=16, seed=exp_seed)
             trained = train(config, train_triples)
             agg_in, agg_out = refine_eval(trained.model, eval_triples,

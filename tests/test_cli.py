@@ -1,11 +1,14 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from vesseltopo.cli import main
+from vesseltopo.cli import build_parser, main
 from vesseltopo.flowgen import TrainConfig, VelocityModel, save_checkpoint
 from vesseltopo.maskio import save_mask
 from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
+from vesseltopo.taskgen import DatasetConfig
 
 
 @pytest.fixture
@@ -224,7 +227,74 @@ def test_no_adaptive_flag_sets_lambda_off(tmp_path, capsys):
     main(["train", "--data", str(data), "--checkpoint", str(ck_b),
           "--steps", "5", "--hidden", "4", "--batch", "1", "--seed", "3",
           "--lambda", "0"])
-    a = json.loads(ck_a.read_text())
-    b = json.loads(ck_b.read_text())
-    assert a["config"]["weighting"] is False
-    assert a["params"] == b["params"]  # lambda=0 trains identically
+    # --no-adaptive is --lambda 0: the same checkpoint and loss curve bytes
+    assert ck_a.read_bytes() == ck_b.read_bytes()
+    assert (tmp_path / "a_loss.csv").read_bytes() == (tmp_path / "b_loss.csv").read_bytes()
+
+
+def test_lambda_with_no_adaptive_exits_1(capsys, tmp_path, train_data):
+    assert main(["train", "--data", str(train_data), "--checkpoint",
+                 str(tmp_path / "ck.json"), "--steps", "1",
+                 "--lambda", "3", "--no-adaptive"]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_nonfinite_loss_in_train_exits_3(capsys, tmp_path, train_data):
+    assert main(["train", "--data", str(train_data), "--checkpoint",
+                 str(tmp_path / "ck.json"), "--lr", "1e150", "--steps", "60",
+                 "--batch", "1", "--hidden", "4"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("synth", ["--radius", "nan"], "radius_root"),
+    ("synth", ["--radius", "inf"], "radius_root"),
+    ("synth", ["--radius-min", "nan"], "radius_min"),
+    ("synth", ["--count", "-1"], "count"),
+    ("synth", ["--bad", "-1"], "n_bad"),
+    ("synth", ["--max-k", "0"], "max_k"),
+    ("synth", ["--noise", "nan"], "background_noise_sigma"),
+    ("synth", ["--noise", "inf"], "background_noise_sigma"),
+    ("train", ["--lambda", "nan"], "lam"),
+    ("train", ["--lambda", "inf"], "lam"),
+    ("train", ['{"lam": NaN}'], "lam"),
+    ("train", ["--lr", "-1"], "learning_rate"),
+    ("train", ["--lr", "0"], "learning_rate"),
+    ("train", ["--lr", "nan"], "learning_rate"),
+], ids=["radius-nan", "radius-inf", "radius-min-nan", "count-neg", "bad-neg",
+        "max-k-0", "noise-nan", "noise-inf", "lambda-nan", "lambda-inf",
+        "config-lam-nan", "lr-neg", "lr-0", "lr-nan"])
+def test_nonfinite_or_negative_setting_exits_2(capsys, tmp_path, train_data,
+                                               command, flags, field):
+    out = tmp_path / "out"
+    if flags[0].startswith("{"):  # a config file holding the bad value
+        (tmp_path / "cfg.json").write_text(flags[0])
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    base = {"synth": ["--out", str(out), "--count", "1", "--width", "32",
+                      "--height", "32", "--radius", "1.6"],
+            "train": ["--data", str(train_data), "--checkpoint",
+                      str(out / "ck.json"), "--steps", "1"]}[command]
+    assert main([command] + base + flags) == 2  # the last flag given wins
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+# options that set no field of the command's config class
+_NON_FIELD_OPTIONS = {"out", "count", "bad", "max_k", "config", "verify", "data",
+                      "checkpoint", "limit", "loss_curve"}
+
+
+@pytest.mark.parametrize("command, config_class", [
+    ("synth", VesselParams), ("taskgen", DatasetConfig), ("train", TrainConfig),
+])
+def test_config_flags_default_from_their_dataclass(command, config_class):
+    """A flag that sets a config field is named after it and has no default of
+    its own, so the dataclass stays the one home of every default."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    field_names = {f.name for f in fields(config_class)}
+    for action in sub.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest in _NON_FIELD_OPTIONS:
+            continue
+        assert action.dest in field_names, action.option_strings
+        assert action.default is None, action.option_strings

@@ -118,17 +118,17 @@ def test_token_weights_divisibility_and_range():
 
 def test_weighted_loss_examples():
     v = np.ones((4, 4))
-    w1 = TokenWeightMap(np.ones((1, 1)), 0.0)
+    w1 = TokenWeightMap(np.ones((1, 1)))
     assert weighted_flow_loss(v, v, w1) == 0.0
     resid = np.arange(16.0).reshape(4, 4)
     assert weighted_flow_loss(resid, np.zeros((4, 4)), w1) == np.mean(resid ** 2)
-    w11 = TokenWeightMap(np.array([[11.0]]), 10.0)
+    w11 = TokenWeightMap(np.array([[11.0]]))
     assert weighted_flow_loss(v, np.zeros((4, 4)), w11) == 121.0
 
 
 def test_weighted_loss_zero_iff_equal():
     rng = np.random.default_rng(3)
-    w = TokenWeightMap(1.0 + rng.uniform(size=(2, 2)), 1.0)
+    w = TokenWeightMap(1.0 + rng.uniform(size=(2, 2)))
     a = rng.normal(size=(4, 4))
     b = a + 1e-3
     assert weighted_flow_loss(a, a, w) == 0.0
@@ -233,11 +233,21 @@ def test_train_matches_einsum_oracle_conv(monkeypatch, triple):
 
 # ------------------------------ training ---------------------------------- #
 
-def test_lambda_zero_equals_weighting_off(triple):
-    base = dict(steps=15, batch_size=2, seed=9, patch_size=8, hidden=6)
-    r_lam0 = train(TrainConfig(lam=0.0, weighting=True, **base), [triple])
-    r_off = train(TrainConfig(lam=10.0, weighting=False, **base), [triple])
-    assert r_lam0.losses == r_off.losses  # bit-for-bit
+def test_lambda_zero_equals_weighting_off(tmp_path):
+    """Older checkpoints stored a ``weighting`` switch beside lambda; off
+    trained with lambda 0, so it loads as lambda 0, and on keeps lambda."""
+    ck = tmp_path / "ck.json"
+    save_checkpoint(VelocityModel(hidden=4), TrainConfig(steps=1, hidden=4, lam=3.0), ck)
+    blob = json.loads(ck.read_text())
+    assert "weighting" not in blob["config"]
+    for weighting, lam in [(False, 0.0), (True, 3.0)]:
+        blob["config"]["weighting"] = weighting
+        ck.write_text(json.dumps(blob))
+        assert load_checkpoint(ck)[1] == TrainConfig(steps=1, hidden=4, lam=lam)
+    blob["config"]["weighting"] = "false"
+    ck.write_text(json.dumps(blob))
+    with pytest.raises(InvalidConfig, match="weighting"):
+        load_checkpoint(ck)
 
 
 def test_one_step_run_smoke(triple):
