@@ -49,6 +49,12 @@ def _defaults(config_class) -> dict:
             if f.default is not MISSING}
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags that were set; an unset flag leaves the library default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
     """Resolve options: explicit flags win over the config file over defaults.
 
@@ -56,10 +62,7 @@ def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
     """
     out = dict(defaults)
     out.update({k: v for k, v in file_cfg.items() if k in defaults})
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
+    out.update(_given(args, *defaults))
     return {key: typed(key, value, type(defaults[key])) for key, value in out.items()}
 
 
@@ -70,8 +73,13 @@ def _write_text(path, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def _load_triples(data_dir, limit=None) -> list:
-    """Load (image, imperfect, gt) triples from a synth output directory."""
+def _load_triples(data_dir, limit) -> list:
+    """Load (image, imperfect, gt) triples from a synth output directory.
+
+    A limit below 1 is rejected before any file is read.
+    """
+    if limit is not None and limit < 1:
+        raise VesselTopoError(f"--limit must be at least 1, got {limit}")
     manifest = os.path.join(data_dir, "manifest.jsonl")
     triples = []
     with open(manifest, "r", encoding="utf-8") as fh:
@@ -118,8 +126,8 @@ def cmd_metrics(args) -> None:
 
 def cmd_synth(args) -> None:
     params = VesselParams(**_merged(args, {}, _defaults(VesselParams)))
-    manifest = emit_samples(args.out, params, args.count, n_bad=args.bad,
-                            max_k=args.max_k)
+    manifest = emit_samples(args.out, params, args.count,
+                            **_given(args, "n_bad", "max_k"))
     print(manifest)
 
 
@@ -148,11 +156,11 @@ def cmd_taskgen(args) -> None:
 
 
 def cmd_train(args) -> None:
+    triples = _load_triples(args.data, args.limit)
     file_cfg = _read_config_file(args.config)
     # TrainConfig.steps has no default
     config = TrainConfig(**_merged(args, file_cfg,
                                    {"steps": 2000, **_defaults(TrainConfig)}))
-    triples = _load_triples(args.data, args.limit)
     result = train(config, triples)
     save_checkpoint(result.model, config, args.checkpoint)
     write_loss_curve(result.losses, args.loss_curve
@@ -163,10 +171,10 @@ def cmd_train(args) -> None:
 
 
 def cmd_refine(args) -> None:
-    model, _ = load_checkpoint(args.checkpoint)
     triples = _load_triples(args.data, args.limit)
-    agg_in, agg_out = refine_eval(model, triples, steps=args.steps,
-                                  seed=args.seed, csv_path=args.out)
+    model, _ = load_checkpoint(args.checkpoint)
+    agg_in, agg_out = refine_eval(model, triples, csv_path=args.out,
+                                  **_given(args, "steps", "seed"))
     print(f"input:   dice={100 * agg_in.dice:.2f} cldice={100 * agg_in.cl_dice:.2f} "
           f"beta0_num={agg_in.beta0_num:.2f} beta0_mat={agg_in.beta0_mat:.2f}")
     print(f"refined: dice={100 * agg_out.dice:.2f} cldice={100 * agg_out.cl_dice:.2f} "
@@ -202,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", dest="radius_root", type=float)
     p.add_argument("--radius-min", dest="radius_min", type=float)
     p.add_argument("--noise", dest="background_noise_sigma", type=float)
-    p.add_argument("--bad", type=int, default=1, help="perturbed variants per scene")
-    p.add_argument("--max-k", type=int, default=3, help="max perturbation strength")
+    # unset flags take emit_samples' defaults
+    p.add_argument("--bad", dest="n_bad", type=int, help="perturbed variants per scene")
+    p.add_argument("--max-k", type=int, help="max perturbation strength")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("taskgen", help="build a topology-centric task dataset")
@@ -242,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="synth output directory")
     p.add_argument("--out", default=None, help="CSV output path (default stdout only)")
-    p.add_argument("--steps", type=int, default=16, help="Euler integration steps")
-    p.add_argument("--seed", type=int, default=0)
+    # unset flags take refine_eval's defaults
+    p.add_argument("--steps", type=int, help="Euler integration steps")
+    p.add_argument("--seed", type=int)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=cmd_refine)
 

@@ -10,12 +10,14 @@ Five task kinds over synthetic vessel scenes:
 
 Every prompt embeds the definition of each topological term it queries plus,
 where applicable, the verbatim scoring rule, so records are self-describing.
-Each answer rule is written once, for the generators and for
-``verify_answers``, the audit that re-derives every answer from the stored
-pixels. The audit catches a record that disagrees with its files: stored
-pixels, image path order, provenance, or the counts a refinement or
-quality prompt states. The rules themselves are pinned by an oracle test in
-the test suite.
+Prompts and records are assembled in one place: each generator validates its
+masks, computes its answer and hands it to one constructor, which draws and
+fills the template and stamps it into provenance. Each answer rule is
+written once, for the generators and for ``verify_answers``, the audit that
+re-derives every answer from the stored pixels. The audit catches a record
+that disagrees with its files: stored pixels, image path order, provenance,
+or the counts a refinement or quality prompt states. The rules themselves
+are pinned by an oracle test in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -191,22 +193,9 @@ class TaskRecord:
     provenance: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "task_kind": self.task_kind,
-                "images": list(self.image_paths),
-                "prompt": self.prompt,
-                "answer": self.answer,
-                "target": self.target,
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-        )
-
-
-def _pick(pool: str, rng: np.random.Generator) -> tuple[int, str]:
-    idx = int(rng.integers(len(TEMPLATES[pool])))
-    return idx, TEMPLATES[pool][idx]
+        record = asdict(self)
+        record["images"] = record.pop("image_paths")
+        return json.dumps(record, sort_keys=True)
 
 
 def _masks(image: GrayImage, *masks: BinaryMask) -> list[BinaryMask]:
@@ -271,20 +260,31 @@ def _states_counts(prompt: str, ref: TopologySummary) -> bool:
     return _COUNT_STATEMENT.findall(prompt) == list(_count_phrases(ref))
 
 
+def _record(kind: str, pool: str, rng: np.random.Generator,
+            image_paths: tuple[str, ...], answer: str, target: str | None,
+            provenance: dict, **fill: str) -> TaskRecord:
+    """The one constructor of a task record.
+
+    Draws a template of ``pool`` from ``rng``, fills it with the modality tag,
+    both definitions and the caller's own fields (a template ignores fields
+    it does not name), and stamps ``[pool, index]`` into the provenance.
+    """
+    idx = int(rng.integers(len(TEMPLATES[pool])))
+    prompt = TEMPLATES[pool][idx].format(modality=MODALITY_TAG,
+                                         def_component=DEF_COMPONENT,
+                                         def_loop=DEF_LOOP, **fill)
+    return TaskRecord(kind, image_paths, prompt, answer, target,
+                      {**provenance, "template": [pool, idx]})
+
+
 def _structure_record(kind: str, image: GrayImage, mask: BinaryMask,
                       structure: str, seed: int, image_path: str,
                       mask_path: str) -> TaskRecord:
     (m,) = _masks(image, mask)
     pool, definition, rule = _structure_rule(kind, structure)
-    idx, template = _pick(pool, np.random.default_rng(seed))
-    return TaskRecord(
-        task_kind=kind,
-        image_paths=(image_path, mask_path),
-        prompt=template.format(modality=MODALITY_TAG, definition=definition),
-        answer=rule(betti_numbers(m)),
-        target=None,
-        provenance={"seed": seed, "template": [pool, idx], "structure": structure},
-    )
+    return _record(kind, pool, np.random.default_rng(seed), (image_path, mask_path),
+                   rule(betti_numbers(m)), None,
+                   {"seed": seed, "structure": structure}, definition=definition)
 
 
 def gen_judgement(image: GrayImage, mask: BinaryMask, structure: str, seed: int,
@@ -310,25 +310,12 @@ def gen_quality(image: GrayImage, gt_mask: BinaryMask, candidate_mask: BinaryMas
     """Good/poor verdict; good iff component and loop counts both match gt."""
     gt, cand = _masks(image, gt_mask, candidate_mask)
     ref = betti_numbers(gt)
-    answer = _quality_answer(ref, betti_numbers(cand))
     ref_components, ref_loops = _count_phrases(ref)
-    idx, template = _pick("quality", np.random.default_rng(seed))
-    prompt = template.format(
-        modality=MODALITY_TAG,
-        def_component=DEF_COMPONENT,
-        def_loop=DEF_LOOP,
-        criterion=QUALITY_CRITERION,
-        ref_components=ref_components,
-        ref_loops=ref_loops,
-    )
-    return TaskRecord(
-        task_kind="quality_judgement",
-        image_paths=(image_path, candidate_path),
-        prompt=prompt,
-        answer=answer,
-        target=None,
-        provenance={"seed": seed, "template": ["quality", idx], "gt": gt_path},
-    )
+    return _record("quality_judgement", "quality", np.random.default_rng(seed),
+                   (image_path, candidate_path),
+                   _quality_answer(ref, betti_numbers(cand)), None,
+                   {"seed": seed, "gt": gt_path}, criterion=QUALITY_CRITERION,
+                   ref_components=ref_components, ref_loops=ref_loops)
 
 
 def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
@@ -348,27 +335,10 @@ def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
     answer, scores = _choice_answer(first, second, g)
     if answer is None:
         raise RejectedTie(f"both candidates score {scores[0]}")
-    idx, template = _pick("choice", rng)
-    prompt = template.format(
-        modality=MODALITY_TAG,
-        def_component=DEF_COMPONENT,
-        def_loop=DEF_LOOP,
-        criterion=CHOICE_CRITERION,
-    )
-    return TaskRecord(
-        task_kind="better_choice",
-        image_paths=(image_path, first_path, second_path),
-        prompt=prompt,
-        answer=answer,
-        target=None,
-        provenance={
-            "seed": seed,
-            "template": ["choice", idx],
-            "gt": gt_path,
-            "order": "ba" if swap else "ab",
-            "scores": scores,
-        },
-    )
+    return _record("better_choice", "choice", rng,
+                   (image_path, first_path, second_path), answer, None,
+                   {"seed": seed, "gt": gt_path, "order": "ba" if swap else "ab",
+                    "scores": scores}, criterion=CHOICE_CRITERION)
 
 
 def gen_refinement(image: GrayImage, imperfect_mask: BinaryMask,
@@ -384,22 +354,9 @@ def gen_refinement(image: GrayImage, imperfect_mask: BinaryMask,
     if (imperfect == gt).all():
         raise DegenerateInput("imperfect mask is identical to the ground truth")
     components_phrase, loops_phrase = _count_phrases(betti_numbers(gt))
-    idx, template = _pick("refinement", np.random.default_rng(seed))
-    prompt = template.format(
-        modality=MODALITY_TAG,
-        def_component=DEF_COMPONENT,
-        def_loop=DEF_LOOP,
-        components_phrase=components_phrase,
-        loops_phrase=loops_phrase,
-    )
-    return TaskRecord(
-        task_kind="refinement",
-        image_paths=(image_path, imperfect_path),
-        prompt=prompt,
-        answer=gt_path,
-        target=gt_path,
-        provenance={"seed": seed, "template": ["refinement", idx]},
-    )
+    return _record("refinement", "refinement", np.random.default_rng(seed),
+                   (image_path, imperfect_path), gt_path, gt_path, {"seed": seed},
+                   components_phrase=components_phrase, loops_phrase=loops_phrase)
 
 
 @dataclass(frozen=True)
@@ -561,10 +518,8 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
         save_image(image, os.path.join(out, img_path("img")))
         for name, m in {"gt": gt, **extra}.items():
             save_mask(m, os.path.join(out, img_path(name)))
-        provenance = dict(record.provenance)
-        provenance.update({"split": split, "scene": asdict(params)})
-        return TaskRecord(record.task_kind, record.image_paths, record.prompt,
-                          record.answer, record.target, provenance)
+        return replace(record, provenance={**record.provenance, "split": split,
+                                           "scene": asdict(params)})
     raise InvalidConfig(
         f"could not build a valid {kind} record (index {index}) in 30 attempts"
     )

@@ -1,13 +1,14 @@
 import argparse
+import inspect
 import json
 from dataclasses import fields
 
 import pytest
 
 from vesseltopo.cli import build_parser, main
-from vesseltopo.flowgen import TrainConfig, VelocityModel, save_checkpoint
+from vesseltopo.flowgen import TrainConfig, VelocityModel, refine_eval, save_checkpoint
 from vesseltopo.maskio import save_mask
-from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
+from vesseltopo.synth import VesselParams, emit_samples, generate_vessel, perturb_disconnect
 from vesseltopo.taskgen import DatasetConfig
 
 
@@ -279,22 +280,41 @@ def test_nonfinite_or_negative_setting_exits_2(capsys, tmp_path, train_data,
     assert not out.exists()
 
 
-# options that set no field of the command's config class
-_NON_FIELD_OPTIONS = {"out", "count", "bad", "max_k", "config", "verify", "data",
-                      "checkpoint", "limit", "loss_curve"}
+# options that set neither a config field nor a keyword of the library call
+_NON_FIELD_OPTIONS = {"out", "count", "config", "verify", "data", "checkpoint",
+                      "limit", "loss_curve"}
 
 
-@pytest.mark.parametrize("command, config_class", [
-    ("synth", VesselParams), ("taskgen", DatasetConfig), ("train", TrainConfig),
-])
-def test_config_flags_default_from_their_dataclass(command, config_class):
-    """A flag that sets a config field is named after it and has no default of
-    its own, so the dataclass stays the one home of every default."""
+@pytest.mark.parametrize("command, config_class, call", [
+    ("synth", VesselParams, emit_samples), ("taskgen", DatasetConfig, None),
+    ("train", TrainConfig, None), ("refine", None, refine_eval),
+], ids=["synth-VesselParams", "taskgen-DatasetConfig", "train-TrainConfig", "refine"])
+def test_config_flags_default_from_their_dataclass(command, config_class, call):
+    """A flag that sets a config field or a keyword of the command's library
+    call is named after it and has no default of its own, so the dataclass or
+    the library call stays the one home of every default."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    field_names = {f.name for f in fields(config_class)}
+    names = {f.name for f in fields(config_class)} if config_class else set()
+    if call is not None:
+        names |= {name for name, p in inspect.signature(call).parameters.items()
+                  if p.default is not p.empty}
     for action in sub.choices[command]._actions:
         if isinstance(action, argparse._HelpAction) or action.dest in _NON_FIELD_OPTIONS:
             continue
-        assert action.dest in field_names, action.option_strings
+        assert action.dest in names, action.option_strings
         assert action.default is None, action.option_strings
+
+
+@pytest.mark.parametrize("command", ["train", "refine"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_limit_below_one_exits_2(capsys, tmp_path, train_data, command, limit):
+    ck = tmp_path / "ck.json"
+    if command == "refine":
+        save_checkpoint(VelocityModel(hidden=4), TrainConfig(steps=1), ck)
+    assert main([command, "--data", str(train_data), "--checkpoint", str(ck),
+                 "--steps", "1", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert f"--limit must be at least 1, got {limit}" in captured.err
+    assert "trained" not in captured.out and "refined" not in captured.out
+    assert ck.exists() == (command == "refine")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -192,6 +193,36 @@ def test_prompt_hygiene_rejects_unfilled_template():
     assert not prompt_is_well_formed("judgement_loop", raw, 0)
 
 
+# --------------------------- whole records ------------------------------- #
+
+# SHA-256 of ``to_json()`` of one record of each kind: prompt text, image
+# path order, answer, target and provenance keys are pinned together.
+_RECORD_SHA256 = {
+    "structure_judgement": "b50d680940222d868011cbbbc5022666cbbfc605ea39115d1fb073d8f16f27f1",
+    "structure_counting": "510d3e51302e2676991ad364ab83098a6cc27c9f7420d31860b3d327c25d6147",
+    "quality_judgement": "578b92d4e71389a33a1c3223aadb82520783510486205e2096fc4b83c1088413",
+    "better_choice": "06a4c690a85a93fbfed09dfe981db05e942ebf0686d43db3735e45dc1983c4f6",
+    "refinement": "0c3948b3be97ce3f3d4453c9c9c34b6813e33c32df643056b9b8c51d0419eafb",
+}
+
+
+def test_records_are_pinned_whole(scene, ring_mask, tree_mask):
+    img, gt, _ = scene
+    bad, _ = perturb_disconnect(gt, 2, seed=1)
+    records = [
+        gen_judgement(gray_for(ring_mask), ring_mask, "loop", seed=2),
+        gen_counting(gray_for(tree_mask), tree_mask, "components", seed=0),
+        gen_quality(img, gt, bad, seed=4),
+        # seed 0 presents the candidates swapped, as B then A
+        gen_choice(img, gt, bad, gt, seed=0, path_a="a.pgm", path_b="b.pgm",
+                   gt_path="ref.pgm"),
+        gen_refinement(img, bad, gt, seed=1, gt_path="ref.pgm"),
+    ]
+    for rec in records:
+        text = rec.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == _RECORD_SHA256[rec.task_kind], text
+
+
 # --------------------------- dataset builder ------------------------------ #
 
 @pytest.fixture(scope="module")
@@ -218,6 +249,12 @@ def test_build_dataset_is_reproducible(small_dataset, tmp_path):
                         per_kind={k: 4 for k in TASK_KINDS}, seed=5)
     again = build_dataset(cfg)
     assert open(manifest).read() == open(again).read()
+
+
+def test_build_dataset_manifest_is_pinned(small_dataset):
+    manifest, _ = small_dataset
+    digest = hashlib.sha256(open(manifest, "rb").read()).hexdigest()
+    assert digest == "5c9451231346f722a4e533cbdc95f312c13b1150dace874e49c401445b6675e3"
 
 
 def test_build_dataset_balance_and_prompts(small_dataset):
