@@ -44,9 +44,10 @@ def _read_config_file(path) -> dict:
 
 
 def _defaults(config_class) -> dict:
-    """The plain defaults of a config dataclass's fields."""
-    return {f.name: f.default for f in fields(config_class)
-            if f.default is not MISSING}
+    """The defaults of a config dataclass's fields, built ones included."""
+    return {f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(config_class)
+            if f.default is not MISSING or f.default_factory is not MISSING}
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -132,15 +133,9 @@ def cmd_synth(args) -> None:
 
 
 def cmd_taskgen(args) -> None:
-    file_cfg = _read_config_file(args.config)
-    merged = _merged(args, file_cfg, _defaults(DatasetConfig))
-    per_kind = file_cfg.get("per_kind", {})
-    if args.per_kind is not None:
-        per_kind = {kind: args.per_kind for kind in TASK_KINDS}
-    if per_kind:  # else DatasetConfig's default counts
-        for kind, n in typed("per_kind", per_kind, dict).items():
-            typed(f"per_kind.{kind}", n, int)
-        merged["per_kind"] = per_kind
+    if args.per_kind is not None:  # one count for every kind
+        args.per_kind = {kind: args.per_kind for kind in TASK_KINDS}
+    merged = _merged(args, _read_config_file(args.config), _defaults(DatasetConfig))
     config = DatasetConfig(out_dir=args.out, **merged)
     manifest = build_dataset(config)
     print(manifest)
@@ -157,10 +152,8 @@ def cmd_taskgen(args) -> None:
 
 def cmd_train(args) -> None:
     triples = _load_triples(args.data, args.limit)
-    file_cfg = _read_config_file(args.config)
-    # TrainConfig.steps has no default
-    config = TrainConfig(**_merged(args, file_cfg,
-                                   {"steps": 2000, **_defaults(TrainConfig)}))
+    config = TrainConfig(**_merged(args, _read_config_file(args.config),
+                                   _defaults(TrainConfig)))
     result = train(config, triples)
     save_checkpoint(result.model, config, args.checkpoint)
     write_loss_curve(result.losses, args.loss_curve

@@ -151,7 +151,7 @@ def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
 
 
 def _conv3_backward(weight: np.ndarray, win: np.ndarray, dout: np.ndarray,
-                    input_grad: bool = True):
+                    input_grad: bool):
     """Gradients wrt weight, bias and, unless ``input_grad`` is off, input.
 
     ``cols`` is a copy of its own: the transposed view of the forward's
@@ -183,7 +183,7 @@ class VelocityModel:
 
     N_COND = 4
 
-    def __init__(self, hidden: int = 16, seed=0):
+    def __init__(self, hidden: int, seed):
         rng = np.random.default_rng(seed)
         self.widths = (2 + self.N_COND, hidden, hidden, 1)
         self.params: list[list[np.ndarray]] = []
@@ -279,7 +279,7 @@ class _Adam:
 class TrainConfig:
     """Training hyperparameters; a checkpoint stores exactly these fields."""
 
-    steps: int
+    steps: int = 2000
     batch_size: int = 4
     learning_rate: float = 1e-3
     lam: float = 10.0  # adaptive weighting strength; 0 is plain flow matching
@@ -462,12 +462,13 @@ def _checkpoint_from(blob) -> tuple[VelocityModel, TrainConfig]:
 # ------------------------------ inference -------------------------------- #
 
 def sample(model: VelocityModel, image: GrayImage, imperfect, steps: int,
-           seed: int, n_components: int = 1, n_loops: int = 0) -> GrayImage:
+           seed: int, n_components: int, n_loops: int) -> GrayImage:
     """Integrate the flow from noise to a refined mask image.
 
     Explicit Euler: z <- z + (1/steps) * v(z, k/steps, cond) for k = 0..steps-1,
     starting from a seeded standard normal grid; the result is clamped to
-    [0, 1]. Deterministic per seed.
+    [0, 1]. Deterministic per seed. ``n_components`` and ``n_loops`` are the
+    counts the topology prompt states for the refined mask.
     """
     if steps < 1:
         raise InvalidConfig("steps must be >= 1")

@@ -14,6 +14,7 @@ is written through ``write_atomic``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -55,12 +56,18 @@ def write_atomic(path, data: bytes) -> None:
 
     The bytes go to ``<path>.tmp<pid>`` in the same directory, which is then
     renamed over ``path`` in one step: a crash midway leaves the previous
-    file, not a truncated one.
+    file, not a truncated one. A failed write or rename removes the
+    temporary file and raises an OSError that names ``path``.
     """
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:

@@ -94,10 +94,11 @@ def _format_count(value: float) -> str:
 
 
 def format_csv(named_reports: Iterable[tuple[str, MetricReport]],
-               mean_row: bool = True) -> str:
+               mean_row: bool) -> str:
     """Render reports as CSV with ratios shown as percentages (2 decimals).
 
-    Aggregation is the unweighted per-image mean, appended as a ``mean`` row.
+    Aggregation is the unweighted per-image mean, appended as a ``mean`` row
+    when ``mean_row`` is set.
     """
     rows = list(named_reports)
     out = io.StringIO()

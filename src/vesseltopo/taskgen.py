@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import (DegenerateInput, InsufficientStructure, InvalidConfig,
-                     RejectedTie)
+                     RejectedTie, typed)
 from .maskio import (
     BinaryMask,
     GrayImage,
@@ -166,12 +166,9 @@ def template_regex(template: str) -> re.Pattern:
     return re.compile(_PLACEHOLDER.sub("([^{}]+?)", re.escape(template)) + r"\Z")
 
 
-def prompt_is_well_formed(pool: str, prompt: str, index: int | None = None) -> bool:
-    """Check a prompt against one template or against its whole pool."""
-    templates = TEMPLATES[pool]
-    if index is not None:
-        return template_regex(templates[index]).match(prompt) is not None
-    return any(template_regex(t).match(prompt) for t in templates)
+def prompt_is_well_formed(pool: str, prompt: str, index: int) -> bool:
+    """Check a prompt against template ``index`` of ``pool``."""
+    return template_regex(TEMPLATES[pool][index]).match(prompt) is not None
 
 
 def _plural(n: int, noun: str) -> str:
@@ -288,25 +285,22 @@ def _structure_record(kind: str, image: GrayImage, mask: BinaryMask,
 
 
 def gen_judgement(image: GrayImage, mask: BinaryMask, structure: str, seed: int,
-                  image_path: str = "image.pgm",
-                  mask_path: str = "mask.pgm") -> TaskRecord:
+                  image_path: str, mask_path: str) -> TaskRecord:
     """Yes/no judgement: 'loop' asks beta1 > 0, 'component>1' asks beta0 > 1."""
     return _structure_record("structure_judgement", image, mask, structure, seed,
                              image_path, mask_path)
 
 
 def gen_counting(image: GrayImage, mask: BinaryMask, structure: str, seed: int,
-                 image_path: str = "image.pgm",
-                 mask_path: str = "mask.pgm") -> TaskRecord:
+                 image_path: str, mask_path: str) -> TaskRecord:
     """Counting: answer is beta0 ('components') or beta1 ('loops') in decimal."""
     return _structure_record("structure_counting", image, mask, structure, seed,
                              image_path, mask_path)
 
 
 def gen_quality(image: GrayImage, gt_mask: BinaryMask, candidate_mask: BinaryMask,
-                seed: int, image_path: str = "image.pgm",
-                candidate_path: str = "candidate.pgm",
-                gt_path: str = "gt.pgm") -> TaskRecord:
+                seed: int, image_path: str, candidate_path: str,
+                gt_path: str) -> TaskRecord:
     """Good/poor verdict; good iff component and loop counts both match gt."""
     gt, cand = _masks(image, gt_mask, candidate_mask)
     ref = betti_numbers(gt)
@@ -319,9 +313,8 @@ def gen_quality(image: GrayImage, gt_mask: BinaryMask, candidate_mask: BinaryMas
 
 
 def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
-               gt: BinaryMask, seed: int, image_path: str = "image.pgm",
-               path_a: str = "mask_a.pgm", path_b: str = "mask_b.pgm",
-               gt_path: str = "gt.pgm") -> TaskRecord:
+               gt: BinaryMask, seed: int, image_path: str, path_a: str,
+               path_b: str, gt_path: str) -> TaskRecord:
     """Pick the candidate with strictly lower topology score; ties rejected.
 
     The two candidates are presented as A/B in an order randomized from the
@@ -342,10 +335,8 @@ def gen_choice(image: GrayImage, mask_a: BinaryMask, mask_b: BinaryMask,
 
 
 def gen_refinement(image: GrayImage, imperfect_mask: BinaryMask,
-                   gt_mask: BinaryMask, seed: int,
-                   image_path: str = "image.pgm",
-                   imperfect_path: str = "imperfect.pgm",
-                   gt_path: str = "gt.pgm") -> TaskRecord:
+                   gt_mask: BinaryMask, seed: int, image_path: str,
+                   imperfect_path: str, gt_path: str) -> TaskRecord:
     """Refinement record: inputs image + imperfect mask, target is the gt mask.
 
     The prompt states the expected component and loop counts of the target.
@@ -369,9 +360,11 @@ class DatasetConfig:
     height: int = 64
     seed: int = 0
     test_fraction: float = 0.2
-    noise_sigma: float = 0.04
+    noise_sigma: float = VesselParams.background_noise_sigma
 
     def validate(self) -> None:
+        for kind, n in typed("per_kind", self.per_kind, dict).items():
+            typed(f"per_kind.{kind}", n, int)
         unknown = set(self.per_kind) - set(TASK_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown task kinds: {sorted(unknown)}")

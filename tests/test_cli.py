@@ -5,11 +5,13 @@ from dataclasses import fields
 
 import pytest
 
+from vesseltopo import cli
 from vesseltopo.cli import build_parser, main
-from vesseltopo.flowgen import TrainConfig, VelocityModel, refine_eval, save_checkpoint
+from vesseltopo.flowgen import (TrainConfig, TrainResult, VelocityModel, refine_eval,
+                                save_checkpoint)
 from vesseltopo.maskio import save_mask
 from vesseltopo.synth import VesselParams, emit_samples, generate_vessel, perturb_disconnect
-from vesseltopo.taskgen import DatasetConfig
+from vesseltopo.taskgen import DatasetConfig, build_dataset
 
 
 @pytest.fixture
@@ -169,6 +171,11 @@ def test_train_config_file_with_flag_override(capsys, tmp_path):
     ("train", {"steps": True}, "steps"),
     ("taskgen", {"width": "64"}, "width"),
     ("taskgen", {"per_kind": {"refinement": "3"}}, "per_kind.refinement"),
+    # a falsy per_kind is no dict either, not a request for the default counts
+    ("taskgen", {"per_kind": []}, "per_kind"),
+    ("taskgen", {"per_kind": None}, "per_kind"),
+    ("taskgen", {"per_kind": 0}, "per_kind"),
+    ("taskgen", {"per_kind": False}, "per_kind"),
 ])
 def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, train_data,
                                             command, config, key):
@@ -179,6 +186,54 @@ def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, train_data,
             "taskgen": ["taskgen", "--out", str(tmp_path / "ds")]}[command]
     assert main(argv + ["--config", str(cfg)]) == 2
     assert f"config value {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("per_kind", [{"refinement": 2}, {}])
+def test_taskgen_config_per_kind_builds_what_the_library_builds(capsys, tmp_path,
+                                                                 per_kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"per_kind": per_kind, "width": 32, "height": 32}))
+    assert main(["taskgen", "--out", str(tmp_path / "cli"), "--config", str(cfg)]) == 0
+    manifest = (tmp_path / "cli" / "manifest.jsonl").read_bytes()
+    assert len(manifest.splitlines()) == sum(per_kind.values())
+    library = build_dataset(DatasetConfig(out_dir=str(tmp_path / "lib"),
+                                          per_kind=per_kind, width=32, height=32))
+    assert open(library, "rb").read() == manifest
+
+
+def test_unset_options_resolve_to_the_dataclass_defaults(monkeypatch, tmp_path,
+                                                         train_data):
+    """With no flag and no config file, train and taskgen run the dataclass
+    defaults; the library calls are replaced, so nothing trains or builds."""
+    seen = []
+
+    def fake_train(config, triples):
+        seen.append(config)
+        return TrainResult(VelocityModel(hidden=1, seed=0), [0.0], config)
+
+    def fake_build_dataset(config):
+        seen.append(config)
+        return "manifest.jsonl"
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(cli, "build_dataset", fake_build_dataset)
+    assert main(["train", "--data", str(train_data),
+                 "--checkpoint", str(tmp_path / "ck.json")]) == 0
+    assert main(["taskgen", "--out", str(tmp_path / "ds")]) == 0
+    assert seen == [TrainConfig(), DatasetConfig(out_dir=str(tmp_path / "ds"))]
+
+
+@pytest.mark.parametrize("checkpoint", ["nodir/ck.json", "adir"],
+                         ids=["missing-dir", "existing-dir"])
+def test_failed_write_names_the_path_and_leaves_no_tmp(capsys, monkeypatch, tmp_path,
+                                                       train_data, checkpoint):
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--data", str(train_data), "--checkpoint", checkpoint,
+                 "--steps", "1", "--batch", "1", "--hidden", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{checkpoint}'" in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 @pytest.mark.parametrize("line", ["7", '{"a": 1}'])
@@ -210,7 +265,7 @@ def _with_config(blob, **config):
         "weight-1x1", "widths-8", "nan-bias"])
 def test_refine_on_malformed_checkpoint_exits_2(capsys, tmp_path, train_data, edit):
     ck = tmp_path / "ck.json"
-    save_checkpoint(VelocityModel(hidden=16), TrainConfig(steps=1), ck)
+    save_checkpoint(VelocityModel(hidden=16, seed=0), TrainConfig(steps=1), ck)
     ck.write_text(json.dumps(edit(json.loads(ck.read_text()))))
     assert main(["refine", "--checkpoint", str(ck), "--data", str(train_data)]) == 2
     assert f"checkpoint {ck}" in capsys.readouterr().err
@@ -311,7 +366,7 @@ def test_config_flags_default_from_their_dataclass(command, config_class, call):
 def test_limit_below_one_exits_2(capsys, tmp_path, train_data, command, limit):
     ck = tmp_path / "ck.json"
     if command == "refine":
-        save_checkpoint(VelocityModel(hidden=4), TrainConfig(steps=1), ck)
+        save_checkpoint(VelocityModel(hidden=4, seed=0), TrainConfig(steps=1), ck)
     assert main([command, "--data", str(train_data), "--checkpoint", str(ck),
                  "--steps", "1", "--limit", limit]) == 2
     captured = capsys.readouterr()

@@ -194,7 +194,7 @@ def test_conv_matches_einsum_oracle_bit_for_bit(c, f):
         dxp[:, 1:-1, 1:-1] = rng.normal(size=(f, h, w))
         masked = dxp[:, 1:-1, 1:-1] * (out > 0)
         for dout in (rng.normal(size=(f, h, w)), want, masked, -masked):
-            got = flowgen._conv3_backward(weight, win, dout)
+            got = flowgen._conv3_backward(weight, win, dout, input_grad=True)
             ref = einsum_conv3_backward(weight, want_win, dout, x.shape)
             no_input = flowgen._conv3_backward(weight, win, dout, input_grad=False)
             assert no_input[2] is None
@@ -237,7 +237,8 @@ def test_lambda_zero_equals_weighting_off(tmp_path):
     """Older checkpoints stored a ``weighting`` switch beside lambda; off
     trained with lambda 0, so it loads as lambda 0, and on keeps lambda."""
     ck = tmp_path / "ck.json"
-    save_checkpoint(VelocityModel(hidden=4), TrainConfig(steps=1, hidden=4, lam=3.0), ck)
+    save_checkpoint(VelocityModel(hidden=4, seed=0),
+                    TrainConfig(steps=1, hidden=4, lam=3.0), ck)
     blob = json.loads(ck.read_text())
     assert "weighting" not in blob["config"]
     for weighting, lam in [(False, 0.0), (True, 3.0)]:
@@ -281,7 +282,7 @@ def test_invalid_configs(triple):
 def test_sample_single_step_formula(triple):
     img, bad, gt = triple
     model = VelocityModel(hidden=4, seed=5)
-    out = sample(model, img, bad, steps=1, seed=42)
+    out = sample(model, img, bad, steps=1, seed=42, n_components=1, n_loops=0)
     cond = make_condition(img, bad, 1, 0)
     rng = np.random.default_rng(42)
     eps = rng.standard_normal(img.shape)
@@ -292,8 +293,8 @@ def test_sample_single_step_formula(triple):
 def test_sample_deterministic(triple):
     img, bad, _ = triple
     model = VelocityModel(hidden=4, seed=6)
-    a = sample(model, img, bad, steps=4, seed=7)
-    b = sample(model, img, bad, steps=4, seed=7)
+    a = sample(model, img, bad, steps=4, seed=7, n_components=1, n_loops=0)
+    b = sample(model, img, bad, steps=4, seed=7, n_components=1, n_loops=0)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -301,7 +302,8 @@ def test_sample_deterministic(triple):
 def test_sample_rejects_zero_steps(triple):
     img, bad, _ = triple
     with pytest.raises(InvalidConfig):
-        sample(VelocityModel(hidden=4, seed=0), img, bad, steps=0, seed=0)
+        sample(VelocityModel(hidden=4, seed=0), img, bad, steps=0, seed=0,
+               n_components=1, n_loops=0)
 
 
 # ------------------------------ evaluation -------------------------------- #
@@ -339,8 +341,8 @@ def test_checkpoint_roundtrip(tmp_path, triple):
     save_checkpoint(result.model, result.config, path)
     loaded, config = load_checkpoint(path)
     assert config == result.config
-    a = sample(result.model, img, bad, steps=2, seed=1)
-    b = sample(loaded, img, bad, steps=2, seed=1)
+    a = sample(result.model, img, bad, steps=2, seed=1, n_components=1, n_loops=0)
+    b = sample(loaded, img, bad, steps=2, seed=1, n_components=1, n_loops=0)
     assert np.array_equal(a, b)
 
 

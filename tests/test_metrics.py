@@ -147,7 +147,7 @@ def test_aggregate_examples():
 def test_csv_format():
     rows = [("s0", MetricReport(1.0, 1.0, 0.0, 0.0)),
             ("s1", MetricReport(0.5, 0.25, 2.0, 3.0))]
-    text = format_csv(rows)
+    text = format_csv(rows, mean_row=True)
     lines = text.splitlines()
     assert lines[0] == "sample,dice,cldice,beta0_num,beta0_mat"
     assert lines[1] == "s0,100.00,100.00,0,0"

@@ -1,0 +1,67 @@
+"""The settings ratchet: every keyword default and flag default, pinned.
+
+Settable values count as well as lines (ROADMAP aim 2): each keyword default
+and each flag default is one more configuration to keep correct. A change
+that adds or removes one edits the inventory here, so it shows in the diff.
+"""
+
+import argparse
+import ast
+import pathlib
+
+import vesseltopo
+from vesseltopo.cli import build_parser
+
+# (module, function, parameter) of every keyword default in the package
+_KEYWORD_DEFAULTS = {
+    ("cli", "main", "argv"),
+    ("flowgen", "refine_eval", "steps"),
+    ("flowgen", "refine_eval", "seed"),
+    ("flowgen", "refine_eval", "csv_path"),
+    ("synth", "_insert_loops.same_tree", "labels"),  # a closure binding
+    ("synth", "emit_samples", "n_bad"),
+    ("synth", "emit_samples", "max_k"),
+    ("topology", "label_components", "connectivity"),
+}
+
+# (subcommand, option) -> the default of every value-taking option that has one
+_FLAG_DEFAULTS = {("synth", "count"): 10}
+
+_HINT = ("each one is a configuration to keep correct (ROADMAP aim 2): keep a "
+         "default only where callers need different values, then update the "
+         "inventory in this test")
+
+
+def _keyword_defaults(node, module: str, scope=()) -> set:
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        name = getattr(child, "name", None)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            qualname = ".".join((*scope, name or "<lambda>"))
+            found |= {(module, qualname, arg.arg) for arg in named}
+        found |= _keyword_defaults(child, module, (*scope, name) if name else scope)
+    return found
+
+
+def test_keyword_defaults_are_the_pinned_inventory():
+    package = pathlib.Path(vesseltopo.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found |= _keyword_defaults(ast.parse(path.read_text()), path.stem)
+    assert found == _KEYWORD_DEFAULTS, (
+        f"keyword defaults added {sorted(found - _KEYWORD_DEFAULTS)}, removed "
+        f"{sorted(_KEYWORD_DEFAULTS - found)}: {_HINT}")
+
+
+def test_flag_defaults_are_the_pinned_inventory():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {(command, action.dest): action.default
+             for command, parser in sub.choices.items()
+             for action in parser._actions
+             if action.nargs != 0 and action.default is not None}
+    assert found == _FLAG_DEFAULTS, f"flag defaults {found}: {_HINT}"

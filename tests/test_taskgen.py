@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vesseltopo.errors import DegenerateInput, DimensionMismatch, RejectedTie
+from vesseltopo.errors import (DegenerateInput, DimensionMismatch, InvalidConfig,
+                               RejectedTie)
 from vesseltopo.maskio import load_image, load_mask
 from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect, perturb_holes
 from vesseltopo.taskgen import (
@@ -34,6 +35,16 @@ def gray_for(mask):
     return img
 
 
+# the paths a record names; no test here reads them from disk
+_MASK_PATHS = {"image_path": "image.pgm", "mask_path": "mask.pgm"}
+_QUALITY_PATHS = {"image_path": "image.pgm", "candidate_path": "candidate.pgm",
+                  "gt_path": "gt.pgm"}
+_CHOICE_PATHS = {"image_path": "image.pgm", "path_a": "mask_a.pgm",
+                 "path_b": "mask_b.pgm", "gt_path": "gt.pgm"}
+_REFINEMENT_PATHS = {"image_path": "image.pgm", "imperfect_path": "imperfect.pgm",
+                     "gt_path": "gt.pgm"}
+
+
 @pytest.fixture(scope="module")
 def scene():
     img, gt, s = generate_vessel(VesselParams(width=64, height=64,
@@ -44,7 +55,7 @@ def scene():
 # ------------------------------ judgement -------------------------------- #
 
 def test_judgement_tree_has_no_loop(tree_mask):
-    rec = gen_judgement(gray_for(tree_mask), tree_mask, "loop", seed=0)
+    rec = gen_judgement(gray_for(tree_mask), tree_mask, "loop", seed=0, **_MASK_PATHS)
     assert rec.answer == "no"
     assert rec.task_kind == "structure_judgement"
     pool, idx = rec.provenance["template"]
@@ -55,44 +66,45 @@ def test_judgement_two_trees(tree_mask):
     two = np.zeros((9, 20), dtype=bool)
     two[:, :9] = tree_mask
     two[:, 11:] = tree_mask
-    rec = gen_judgement(gray_for(two), two, "component>1", seed=1)
+    rec = gen_judgement(gray_for(two), two, "component>1", seed=1, **_MASK_PATHS)
     assert rec.answer == "yes"
 
 
 def test_judgement_ring_has_loop(ring_mask):
-    rec = gen_judgement(gray_for(ring_mask), ring_mask, "loop", seed=2)
+    rec = gen_judgement(gray_for(ring_mask), ring_mask, "loop", seed=2, **_MASK_PATHS)
     assert rec.answer == "yes"
 
 
 def test_judgement_single_component_says_no(ring_mask):
-    rec = gen_judgement(gray_for(ring_mask), ring_mask, "component>1", seed=3)
+    rec = gen_judgement(gray_for(ring_mask), ring_mask, "component>1", seed=3,
+                        **_MASK_PATHS)
     assert rec.answer == "no"
 
 
 def test_judgement_shape_and_structure_checks(ring_mask):
     with pytest.raises(DimensionMismatch):
-        gen_judgement(np.zeros((3, 3)), ring_mask, "loop", seed=0)
+        gen_judgement(np.zeros((3, 3)), ring_mask, "loop", seed=0, **_MASK_PATHS)
     with pytest.raises(ValueError):
-        gen_judgement(gray_for(ring_mask), ring_mask, "spiral", seed=0)
+        gen_judgement(gray_for(ring_mask), ring_mask, "spiral", seed=0, **_MASK_PATHS)
 
 
 # ------------------------------ counting --------------------------------- #
 
 def test_counting_three_trees():
     _, gt, s = generate_vessel(VesselParams(n_trees=3, seed=10))
-    rec = gen_counting(gray_for(gt), gt, "components", seed=0)
+    rec = gen_counting(gray_for(gt), gt, "components", seed=0, **_MASK_PATHS)
     assert rec.answer == "3" == str(s.beta0)
 
 
 def test_counting_empty_mask():
     empty = np.zeros((8, 8), dtype=bool)
-    rec = gen_counting(gray_for(empty), empty, "components", seed=0)
+    rec = gen_counting(gray_for(empty), empty, "components", seed=0, **_MASK_PATHS)
     assert rec.answer == "0"
 
 
 def test_counting_two_loops():
     _, gt, s = generate_vessel(VesselParams(n_loops=2, seed=12))
-    rec = gen_counting(gray_for(gt), gt, "loops", seed=0)
+    rec = gen_counting(gray_for(gt), gt, "loops", seed=0, **_MASK_PATHS)
     assert rec.answer == "2" == str(s.beta1)
 
 
@@ -100,14 +112,14 @@ def test_counting_two_loops():
 
 def test_quality_identical_is_good(scene):
     img, gt, _ = scene
-    rec = gen_quality(img, gt, gt, seed=0)
+    rec = gen_quality(img, gt, gt, seed=0, **_QUALITY_PATHS)
     assert rec.answer == "good"
 
 
 def test_quality_disconnected_is_poor(scene):
     img, gt, _ = scene
     bad, _ = perturb_disconnect(gt, 2, seed=1)
-    rec = gen_quality(img, gt, bad, seed=0)
+    rec = gen_quality(img, gt, bad, seed=0, **_QUALITY_PATHS)
     assert rec.answer == "poor"
 
 
@@ -117,13 +129,13 @@ def test_quality_translation_with_same_topology_is_good(scene):
     shifted[:, 0] = False
     from vesseltopo.topology import betti_numbers
     if betti_numbers(shifted) == betti_numbers(gt):
-        rec = gen_quality(img, gt, shifted, seed=0)
+        rec = gen_quality(img, gt, shifted, seed=0, **_QUALITY_PATHS)
         assert rec.answer == "good"  # dice < 1 is irrelevant to the criterion
 
 
 def test_quality_prompt_embeds_criterion_and_counts(scene):
     img, gt, s = scene
-    rec = gen_quality(img, gt, gt, seed=4)
+    rec = gen_quality(img, gt, gt, seed=4, **_QUALITY_PATHS)
     assert "otherwise it is poor" in rec.prompt
     assert f"{s.beta0} connected component" in rec.prompt
 
@@ -133,7 +145,7 @@ def test_quality_prompt_embeds_criterion_and_counts(scene):
 def test_choice_gt_beats_perturbed(scene):
     img, gt, _ = scene
     bad, _ = perturb_disconnect(gt, 2, seed=2)
-    rec = gen_choice(img, gt, bad, gt, seed=0)
+    rec = gen_choice(img, gt, bad, gt, seed=0, **_CHOICE_PATHS)
     # the answer must point at the slot where gt was presented
     slot_of_gt = "A" if rec.provenance["order"] == "ab" else "B"
     assert rec.answer == slot_of_gt
@@ -144,7 +156,7 @@ def test_choice_fewer_cuts_win(scene):
     light, _ = perturb_disconnect(gt, 2, seed=3)
     heavy, _ = perturb_disconnect(gt, 5, seed=4)
     assert topology_choice_score(light, gt) < topology_choice_score(heavy, gt)
-    rec = gen_choice(img, light, heavy, gt, seed=1)
+    rec = gen_choice(img, light, heavy, gt, seed=1, **_CHOICE_PATHS)
     slot_of_light = "A" if rec.provenance["order"] == "ab" else "B"
     assert rec.answer == slot_of_light
 
@@ -152,7 +164,7 @@ def test_choice_fewer_cuts_win(scene):
 def test_choice_tie_rejected(scene):
     img, gt, _ = scene
     with pytest.raises(RejectedTie):
-        gen_choice(img, gt, gt, gt, seed=0)
+        gen_choice(img, gt, gt, gt, seed=0, **_CHOICE_PATHS)
 
 
 # ----------------------------- refinement -------------------------------- #
@@ -160,8 +172,8 @@ def test_choice_tie_rejected(scene):
 def test_refinement_prompt_embeds_gt_counts(scene):
     img, gt, s = scene
     bad, _ = perturb_disconnect(gt, 1, seed=5)
-    rec = gen_refinement(img, bad, gt, seed=0,
-                         gt_path="ref_gt.pgm")
+    rec = gen_refinement(img, bad, gt, seed=0, image_path="image.pgm",
+                         imperfect_path="imperfect.pgm", gt_path="ref_gt.pgm")
     assert "1 connected component" in rec.prompt
     assert "0 loops" in rec.prompt
     assert rec.target == "ref_gt.pgm" == rec.answer
@@ -171,14 +183,14 @@ def test_refinement_prompt_embeds_gt_counts(scene):
 def test_refinement_two_components_plural():
     img, gt, s = generate_vessel(VesselParams(n_trees=2, seed=30))
     bad, _ = perturb_disconnect(gt, 1, seed=6)
-    rec = gen_refinement(img, bad, gt, seed=1)
+    rec = gen_refinement(img, bad, gt, seed=1, **_REFINEMENT_PATHS)
     assert "2 connected components" in rec.prompt
 
 
 def test_refinement_degenerate(scene):
     img, gt, _ = scene
     with pytest.raises(DegenerateInput):
-        gen_refinement(img, gt, gt, seed=0)
+        gen_refinement(img, gt, gt, seed=0, **_REFINEMENT_PATHS)
 
 
 # ---------------------------- templates ---------------------------------- #
@@ -210,13 +222,14 @@ def test_records_are_pinned_whole(scene, ring_mask, tree_mask):
     img, gt, _ = scene
     bad, _ = perturb_disconnect(gt, 2, seed=1)
     records = [
-        gen_judgement(gray_for(ring_mask), ring_mask, "loop", seed=2),
-        gen_counting(gray_for(tree_mask), tree_mask, "components", seed=0),
-        gen_quality(img, gt, bad, seed=4),
+        gen_judgement(gray_for(ring_mask), ring_mask, "loop", seed=2, **_MASK_PATHS),
+        gen_counting(gray_for(tree_mask), tree_mask, "components", seed=0, **_MASK_PATHS),
+        gen_quality(img, gt, bad, seed=4, **_QUALITY_PATHS),
         # seed 0 presents the candidates swapped, as B then A
-        gen_choice(img, gt, bad, gt, seed=0, path_a="a.pgm", path_b="b.pgm",
-                   gt_path="ref.pgm"),
-        gen_refinement(img, bad, gt, seed=1, gt_path="ref.pgm"),
+        gen_choice(img, gt, bad, gt, seed=0, image_path="image.pgm",
+                   path_a="a.pgm", path_b="b.pgm", gt_path="ref.pgm"),
+        gen_refinement(img, bad, gt, seed=1, image_path="image.pgm",
+                       imperfect_path="imperfect.pgm", gt_path="ref.pgm"),
     ]
     for rec in records:
         text = rec.to_json()
@@ -224,6 +237,15 @@ def test_records_are_pinned_whole(scene, ring_mask, tree_mask):
 
 
 # --------------------------- dataset builder ------------------------------ #
+
+@pytest.mark.parametrize("per_kind, key", [
+    (None, "per_kind"), ([], "per_kind"), ({"refinement": "3"}, "per_kind.refinement"),
+    ({"refinement": 2.0}, "per_kind.refinement"),
+])
+def test_dataset_config_per_kind_of_wrong_type_is_rejected(tmp_path, per_kind, key):
+    with pytest.raises(InvalidConfig, match=f"config value {key} must be"):
+        build_dataset(DatasetConfig(out_dir=str(tmp_path), per_kind=per_kind))
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -374,7 +396,8 @@ def test_every_answer_matches_the_oracles(small_dataset):
             holed, _ = perturb_holes(gt, 1, seed=0)
             assert _oracle_betti(holed)[0] == _oracle_betti(gt)[0]
             image = load_image(base / r["images"][0])
-            assert gen_quality(image, gt, holed, seed=0).answer == "poor"
+            rec = gen_quality(image, gt, holed, seed=0, **_QUALITY_PATHS)
+            assert rec.answer == "poor"
         elif kind == "better_choice":
             gt = load_mask(base / prov["gt"])
             scores = [beta0_matching_error(m, gt)
