@@ -12,9 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
-from .errors import FormatError, NonFiniteLoss, VesselTopoError, typed
+from .errors import FormatError, NonFiniteLoss, VesselTopoError, build_config
 from .flowgen import (TrainConfig, load_checkpoint, refine_eval, save_checkpoint,
                       train, write_loss_curve)
 from .maskio import load_image, load_mask, write_atomic
@@ -43,28 +43,18 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _defaults(config_class) -> dict:
-    """The defaults of a config dataclass's fields, built ones included."""
-    return {f.name: f.default_factory() if f.default is MISSING else f.default
-            for f in fields(config_class)
-            if f.default is not MISSING or f.default_factory is not MISSING}
-
-
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The named flags that were set; an unset flag leaves the library default."""
     return {name: getattr(args, name) for name in names
             if getattr(args, name, None) is not None}
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Resolve options: explicit flags win over the config file over defaults.
-
-    Each resolved value must have the type of its default.
-    """
-    out = dict(defaults)
-    out.update({k: v for k, v in file_cfg.items() if k in defaults})
-    out.update(_given(args, *defaults))
-    return {key: typed(key, value, type(defaults[key])) for key, value in out.items()}
+def _config(config_class, args: argparse.Namespace, **fixed):
+    """Build config_class from the config file, the flags that were set and
+    fixed, each winning over the one before; unset fields keep their default."""
+    given = _given(args, *(f.name for f in fields(config_class)))
+    file_cfg = _read_config_file(getattr(args, "config", None))
+    return build_config(config_class, {**file_cfg, **given, **fixed})
 
 
 def _write_text(path, text: str) -> None:
@@ -126,7 +116,7 @@ def cmd_metrics(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    params = VesselParams(**_merged(args, {}, _defaults(VesselParams)))
+    params = _config(VesselParams, args)
     manifest = emit_samples(args.out, params, args.count,
                             **_given(args, "n_bad", "max_k"))
     print(manifest)
@@ -135,9 +125,7 @@ def cmd_synth(args) -> None:
 def cmd_taskgen(args) -> None:
     if args.per_kind is not None:  # one count for every kind
         args.per_kind = {kind: args.per_kind for kind in TASK_KINDS}
-    merged = _merged(args, _read_config_file(args.config), _defaults(DatasetConfig))
-    config = DatasetConfig(out_dir=args.out, **merged)
-    manifest = build_dataset(config)
+    manifest = build_dataset(_config(DatasetConfig, args, out_dir=args.out))
     print(manifest)
     if args.verify:
         report = verify_answers(manifest)
@@ -151,9 +139,8 @@ def cmd_taskgen(args) -> None:
 
 
 def cmd_train(args) -> None:
+    config = _config(TrainConfig, args)
     triples = _load_triples(args.data, args.limit)
-    config = TrainConfig(**_merged(args, _read_config_file(args.config),
-                                   _defaults(TrainConfig)))
     result = train(config, triples)
     save_checkpoint(result.model, config, args.checkpoint)
     write_loss_curve(result.losses, args.loss_curve

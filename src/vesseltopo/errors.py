@@ -1,6 +1,11 @@
-"""Exception types shared across the toolkit, and the config type check."""
+"""Exception types shared across the toolkit, and the one gate for settings.
+
+Config dataclasses check their ranges when built; settings read from outside
+(a config file, flags, a checkpoint) reach them through ``build_config``.
+"""
 
 import json
+from dataclasses import MISSING, fields
 
 
 class VesselTopoError(Exception):
@@ -37,6 +42,19 @@ def typed(key: str, value, kind: type):
         raise InvalidConfig(f"config value {key} must be a {kind.__name__}, "
                             f"got {json.dumps(value)}")
     return value
+
+
+def build_config(config_class, values: dict):
+    """Build config_class from outside settings: each key must name a field and
+    each value have the JSON type of its field's default, else InvalidConfig."""
+    defaults = {f.name: f.default if f.default_factory is MISSING
+                else f.default_factory() for f in fields(config_class)}
+    for key, value in values.items():
+        if key not in defaults:
+            raise InvalidConfig(f"{config_class.__name__} has no field {key}")
+        if defaults[key] is not MISSING:
+            typed(key, value, type(defaults[key]))
+    return config_class(**values)
 
 
 class InsufficientStructure(VesselTopoError):

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Sequence, get_type_hints
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, typed
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, build_config, typed
 from .maskio import (GrayImage, as_gray, as_mask, check_same_shape, threshold,
                      write_atomic)
 from .metrics import MetricReport, aggregate_reports, format_csv, metric_report
@@ -287,7 +287,7 @@ class TrainConfig:
     seed: int = 0
     hidden: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # each test is written so that NaN, which fails every comparison, fails it
         if self.steps < 1:
             raise InvalidConfig("steps must be >= 1")
@@ -347,7 +347,6 @@ def train(config: TrainConfig, triples: Sequence) -> TrainResult:
     Pure computation: nothing is written. Persist the result with
     ``save_checkpoint`` and ``write_loss_curve``.
     """
-    config.validate()
     prepared = _prepare_triples(triples, config.patch_size)
     model_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
     model = VelocityModel(hidden=config.hidden, seed=model_ss)
@@ -426,19 +425,15 @@ def _checkpoint_from(blob) -> tuple[VelocityModel, TrainConfig]:
         raise InvalidConfig(f"unsupported version {blob.get('version')}")
     try:
         stored = {**blob["config"]}
-        # older checkpoints also stored their own output paths; drop them
-        stored.pop("checkpoint_path", None)
-        stored.pop("loss_curve_path", None)
-        # and a weighting switch, whose off state trained with lambda 0
-        if not typed("weighting", stored.pop("weighting", True), bool):
-            stored["lam"] = 0.0
-        config = TrainConfig(**stored)
-    except (KeyError, TypeError) as exc:  # missing, not a mapping, bad keys
+    except (KeyError, TypeError) as exc:  # missing or not a mapping
         raise InvalidConfig(f"bad config: {exc}") from None
-    hints = get_type_hints(TrainConfig)
-    for f in fields(config):
-        typed(f.name, getattr(config, f.name), hints[f.name])
-    config.validate()
+    # older checkpoints also stored their own output paths; drop them
+    stored.pop("checkpoint_path", None)
+    stored.pop("loss_curve_path", None)
+    # and a weighting switch, whose off state trained with lambda 0
+    if not typed("weighting", stored.pop("weighting", True), bool):
+        stored["lam"] = 0.0
+    config = build_config(TrainConfig, stored)
     try:
         params = [
             [np.asarray(entry["weight"], dtype=np.float64),

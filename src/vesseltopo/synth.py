@@ -43,7 +43,7 @@ class VesselParams:
     background_noise_sigma: float = 0.04
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # the float tests are written so that NaN, which fails every
         # comparison, fails them too
         if not 1 <= self.radius_min <= self.radius_root < math.inf:
@@ -251,7 +251,6 @@ def generate_vessel(params: VesselParams) -> tuple[GrayImage, BinaryMask, Topolo
     sub-seed; after 100 failed attempts the parameters are deemed
     unsatisfiable.
     """
-    params.validate()
     root_ss = np.random.SeedSequence(params.seed)
     for _ in range(_MAX_SCENE_ATTEMPTS):
         # children are numbered by spawn index, so spawning one per attempt
@@ -506,7 +505,6 @@ def emit_samples(out_dir, params: VesselParams, count: int,
     if not (count >= 0 and n_bad >= 0 and max_k >= 1):
         raise InvalidParams(f"need count >= 0, n_bad >= 0 and max_k >= 1, got "
                             f"count={count}, n_bad={n_bad}, max_k={max_k}")
-    params.validate()
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     sample_seeds = np.random.SeedSequence(params.seed).spawn(count)

@@ -362,7 +362,7 @@ class DatasetConfig:
     test_fraction: float = 0.2
     noise_sigma: float = VesselParams.background_noise_sigma
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for kind, n in typed("per_kind", self.per_kind, dict).items():
             typed(f"per_kind.{kind}", n, int)
         unknown = set(self.per_kind) - set(TASK_KINDS)
@@ -374,6 +374,9 @@ class DatasetConfig:
             raise InvalidConfig("test_fraction must be in [0, 1]")
         if min(self.width, self.height) < 32:
             raise InvalidConfig("canvas must be at least 32x32")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails it too
+            raise InvalidConfig(f"noise_sigma must be finite and >= 0, "
+                                f"got {self.noise_sigma}")
 
 
 # Disjoint generator parameter ranges per split, on top of disjoint seed
@@ -417,7 +420,6 @@ def build_dataset(config: DatasetConfig) -> str:
     Train and test records draw from disjoint seed streams and disjoint
     generator parameter ranges; the split is recorded in provenance.
     """
-    config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
     train_ss, test_ss = np.random.SeedSequence(config.seed).spawn(2)
     records: list[TaskRecord] = []

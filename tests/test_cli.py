@@ -188,6 +188,24 @@ def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, train_data,
     assert f"config value {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("train", {"lamda": 3}, "lamda"),
+    ("taskgen", {"widht": 64}, "widht"),
+])
+def test_config_key_naming_no_field_exits_2(capsys, tmp_path, train_data,
+                                           command, config, key):
+    """A misspelt config-file key is an error, not a silently kept default."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    ck, ds = tmp_path / "ck.json", tmp_path / "ds"
+    argv = {"train": ["train", "--data", str(train_data), "--checkpoint", str(ck),
+                      "--steps", "1"],
+            "taskgen": ["taskgen", "--out", str(ds), "--per-kind", "0"]}[command]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"has no field {key}" in capsys.readouterr().err
+    assert not ck.exists() and not ds.exists()
+
+
 @pytest.mark.parametrize("per_kind", [{"refinement": 2}, {}])
 def test_taskgen_config_per_kind_builds_what_the_library_builds(capsys, tmp_path,
                                                                  per_kind):
@@ -317,9 +335,13 @@ def test_nonfinite_loss_in_train_exits_3(capsys, tmp_path, train_data):
     ("train", ["--lr", "-1"], "learning_rate"),
     ("train", ["--lr", "0"], "learning_rate"),
     ("train", ["--lr", "nan"], "learning_rate"),
+    # checked by DatasetConfig itself, even when no scene is built
+    ("taskgen", ["--noise", "-1"], "noise_sigma"),
+    ("taskgen", ["--noise", "nan"], "noise_sigma"),
 ], ids=["radius-nan", "radius-inf", "radius-min-nan", "count-neg", "bad-neg",
         "max-k-0", "noise-nan", "noise-inf", "lambda-nan", "lambda-inf",
-        "config-lam-nan", "lr-neg", "lr-0", "lr-nan"])
+        "config-lam-nan", "lr-neg", "lr-0", "lr-nan", "taskgen-noise-neg",
+        "taskgen-noise-nan"])
 def test_nonfinite_or_negative_setting_exits_2(capsys, tmp_path, train_data,
                                                command, flags, field):
     out = tmp_path / "out"
@@ -329,7 +351,8 @@ def test_nonfinite_or_negative_setting_exits_2(capsys, tmp_path, train_data,
     base = {"synth": ["--out", str(out), "--count", "1", "--width", "32",
                       "--height", "32", "--radius", "1.6"],
             "train": ["--data", str(train_data), "--checkpoint",
-                      str(out / "ck.json"), "--steps", "1"]}[command]
+                      str(out / "ck.json"), "--steps", "1"],
+            "taskgen": ["--out", str(out), "--per-kind", "0"]}[command]
     assert main([command] + base + flags) == 2  # the last flag given wins
     assert field in capsys.readouterr().err
     assert not out.exists()

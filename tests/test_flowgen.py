@@ -268,11 +268,12 @@ def test_nonfinite_loss_aborts(triple):
                           learning_rate=1e150), [triple])
 
 
-def test_invalid_configs(triple):
+def test_invalid_configs():
+    # range checks run as the object is built
     with pytest.raises(InvalidConfig):
-        train(TrainConfig(steps=0), [triple])
+        TrainConfig(steps=0)
     with pytest.raises(InvalidConfig):
-        train(TrainConfig(steps=1, lam=-1.0), [triple])
+        TrainConfig(steps=1, lam=-1.0)
     with pytest.raises(InvalidConfig):
         train(TrainConfig(steps=1), [])
 

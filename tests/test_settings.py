@@ -1,16 +1,22 @@
-"""The settings ratchet: every keyword default and flag default, pinned.
+"""The settings ratchet: every keyword default, flag default and config
+field, pinned.
 
-Settable values count as well as lines (ROADMAP aim 2): each keyword default
-and each flag default is one more configuration to keep correct. A change
-that adds or removes one edits the inventory here, so it shows in the diff.
+Settable values count as well as lines (ROADMAP aim 2): each keyword default,
+flag default and config field is one more configuration to keep correct. A
+change that adds or removes one edits the inventory here, so it shows in the
+diff.
 """
 
 import argparse
 import ast
 import pathlib
+from dataclasses import fields
 
 import vesseltopo
 from vesseltopo.cli import build_parser
+from vesseltopo.flowgen import TrainConfig
+from vesseltopo.synth import VesselParams
+from vesseltopo.taskgen import DatasetConfig
 
 # (module, function, parameter) of every keyword default in the package
 _KEYWORD_DEFAULTS = {
@@ -27,9 +33,20 @@ _KEYWORD_DEFAULTS = {
 # (subcommand, option) -> the default of every value-taking option that has one
 _FLAG_DEFAULTS = {("synth", "count"): 10}
 
+# the fields of each config dataclass, in order: 10, 7 and 7
+_CONFIG_FIELDS = {
+    VesselParams: ("width", "height", "n_trees", "branch_depth", "branch_prob",
+                   "radius_root", "radius_min", "n_loops", "background_noise_sigma",
+                   "seed"),
+    DatasetConfig: ("out_dir", "per_kind", "width", "height", "seed", "test_fraction",
+                    "noise_sigma"),
+    TrainConfig: ("steps", "batch_size", "learning_rate", "lam", "patch_size", "seed",
+                  "hidden"),
+}
+
 _HINT = ("each one is a configuration to keep correct (ROADMAP aim 2): keep a "
-         "default only where callers need different values, then update the "
-         "inventory in this test")
+         "default or a field only where callers need different values, then "
+         "update the inventory in this test")
 
 
 def _keyword_defaults(node, module: str, scope=()) -> set:
@@ -65,3 +82,9 @@ def test_flag_defaults_are_the_pinned_inventory():
              for action in parser._actions
              if action.nargs != 0 and action.default is not None}
     assert found == _FLAG_DEFAULTS, f"flag defaults {found}: {_HINT}"
+
+
+def test_config_fields_are_the_pinned_inventory():
+    for config_class, names in _CONFIG_FIELDS.items():
+        found = tuple(f.name for f in fields(config_class))
+        assert found == names, f"{config_class.__name__} fields {found}: {_HINT}"

@@ -166,14 +166,15 @@ def test_local_halfwidth_matches_probe_loop():
 
 
 def test_invalid_params():
+    # each check runs as the object is built
     with pytest.raises(InvalidParams):
-        VesselParams(radius_min=0.5).validate()
+        VesselParams(radius_min=0.5)
     with pytest.raises(InvalidParams):
-        VesselParams(branch_depth=0).validate()
+        VesselParams(branch_depth=0)
     with pytest.raises(InvalidParams):
-        VesselParams(branch_prob=1.5).validate()
+        VesselParams(branch_prob=1.5)
     with pytest.raises(InvalidParams):
-        generate_vessel(VesselParams(width=16, height=16, radius_root=3.0))
+        VesselParams(width=16, height=16, radius_root=3.0)
 
 
 def test_disconnect_noop():

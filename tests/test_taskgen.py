@@ -244,7 +244,7 @@ def test_records_are_pinned_whole(scene, ring_mask, tree_mask):
 ])
 def test_dataset_config_per_kind_of_wrong_type_is_rejected(tmp_path, per_kind, key):
     with pytest.raises(InvalidConfig, match=f"config value {key} must be"):
-        build_dataset(DatasetConfig(out_dir=str(tmp_path), per_kind=per_kind))
+        DatasetConfig(out_dir=str(tmp_path), per_kind=per_kind)
 
 
 @pytest.fixture(scope="module")
