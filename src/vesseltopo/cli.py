@@ -9,6 +9,7 @@ or absolute paths. Exit codes: 0 success, 1 usage error, 2 input/data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -240,8 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:

@@ -26,6 +26,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -363,8 +364,13 @@ class DatasetConfig:
     noise_sigma: float = VesselParams.background_noise_sigma
 
     def __post_init__(self) -> None:
-        for kind, n in typed("per_kind", self.per_kind, dict).items():
+        per_kind = self.per_kind
+        if isinstance(per_kind, MappingProxyType):  # as dataclasses.replace passes it
+            per_kind = dict(per_kind)
+        for kind, n in typed("per_kind", per_kind, dict).items():
             typed(f"per_kind.{kind}", n, int)
+        # A read-only copy, so no later change can skip the checks below.
+        object.__setattr__(self, "per_kind", MappingProxyType(dict(per_kind)))
         unknown = set(self.per_kind) - set(TASK_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown task kinds: {sorted(unknown)}")

@@ -5,9 +5,13 @@ This is the standard dual pair and matches the closed cubical complex used
 for the Euler characteristic, where corner-touching pixels share a vertex.
 
 * ``label_components``  - deterministic run-based union-find labeling
-  (4- or 8-conn), labels in first-touched row-major order
+  (4- or 8-conn), labels in first-touched row-major order. Run starts and
+  ends come from one scan of the row-padded mask; the runs that each run
+  touches in the row below, from two binary searches over those endpoints;
+  each run's label is then repeated over its length
 * ``betti_numbers``     - beta0, beta1 and Euler characteristic chi = V-E+F
-  (runs minus touching run pairs, from the same pass as beta0)
+  from the same runs and pairs, with no per-run labels: beta0 is runs minus
+  merging unions, chi is runs minus touching run pairs
 * ``euler_characteristic`` - chi alone, by Gray's bit-quad count
 * ``count_loops``       - beta1 (equals the number of bounded 4-connected
   background components, the duality used as a test oracle)
@@ -19,8 +23,8 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
   neighbourhood code, and which earlier neighbours are candidates too,
   from one byte gather packed eight bytes to eight bits by a multiply
 
-All kernels are plain numpy plus short Python loops over runs and thinning
-candidates; nothing is compiled.
+All kernels are plain numpy plus short Python loops over run pairs, runs and
+thinning candidates; nothing is compiled.
 """
 
 from __future__ import annotations
@@ -130,41 +134,38 @@ _QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
 def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int, int]:
-    """Run-based two-pass labeling (Wu, Otoo & Suzuki 2005).
+    """Run-based union-find labeling (Wu, Otoo & Suzuki 2005).
 
-    Returns the run id of every pixel (meaningful on foreground only), the
-    component label of each run id, the component count and the number of
-    pairs of touching runs. Runs are numbered 1..n in row-major order and
-    labels follow the first-touched row-major order.
+    Returns the length of each run, the union-find parent of each run, the
+    component count and the number of pairs of touching runs. Runs are
+    numbered 0..n-1 in row-major order; every root is its component's first
+    run, whatever order the pairs are merged in, and parent[i] <= i.
     """
     # Flat row-major copy with one background pixel in front and one after
-    # every row, so that flat neighbours never wrap across rows.
+    # every row, so that no run crosses a row; its edges alternate between
+    # run starts and run ends (one past the last pixel).
     h, w = m.shape
     width = w + 1
     buf = np.zeros(h * width + 1, dtype=bool)
     buf[1:].reshape(h, width)[:, :w] = m
-    f = buf[1:]
-    starts = f > buf[:-1]
-    run = np.add.accumulate(starts, dtype=np.int32)
-    n = int(run[-1]) if run.size else 0
-    # Under 8-adjacency two runs touch iff they overlap once each covers
-    # one more pixel to its right: the background pixel that ends it, which
-    # carries its run id. One pixel pair per pair of touching runs, where
-    # their overlap begins: where both rows become covered or a run starts
-    # in either row (covered runs can abut in a row).
-    cover = buf
-    if conn8:
-        cover = buf.copy()
-        cover[1:] |= buf[:-1]
-    both = cover[:-width] & cover[width:]
-    first = both[1:] & (~both[:-1] | starts[:-width] | starts[width:])
-    upper = run[:-width][first].tolist()
-    lower = run[width:][first].tolist()
-    # Union-find hooking the larger root under the smaller: every root is
-    # its component's first run, i.e. its first pixel in row-major order,
-    # and parent[i] <= i throughout.
-    parent = list(range(n + 1))
-    for a, b in zip(upper, lower):
+    edges = (buf[1:] != buf[:-1]).nonzero()[0]
+    starts = edges[0::2]
+    ends = edges[1::2]
+    # A run [s, e) touches the runs [s', e') of the row below whose columns
+    # overlap its own, widened by one pixel each way under 8-adjacency:
+    # s' < e + width + slack and e' > s + width - slack. Starts and ends are
+    # both increasing, so these runs are one index range [lo, hi), and no
+    # run of another row falls in it.
+    slack = 1 if conn8 else 0
+    lo = ends.searchsorted(starts + (width - slack), side="right")
+    hi = starts.searchsorted(ends + (width + slack), side="left")
+    counts = hi - lo
+    upper = np.arange(starts.size).repeat(counts)
+    lower = np.arange(upper.size) + (lo + counts - counts.cumsum()).repeat(counts)
+    # Union-find hooking the larger root under the smaller.
+    parent = list(range(starts.size))
+    merged = 0
+    for a, b in zip(upper.tolist(), lower.tolist()):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -173,19 +174,11 @@ def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int,
             b = parent[b]
         if a < b:
             parent[b] = a
+            merged += 1
         elif b < a:
             parent[a] = b
-    # Number the roots in increasing order; every other run takes the
-    # label of its smaller parent.
-    label_of = [0] * (n + 1)
-    count = 0
-    for i in range(1, n + 1):
-        if parent[i] == i:
-            count += 1
-            label_of[i] = count
-        else:
-            label_of[i] = label_of[parent[i]]
-    return run.reshape(h, width)[:, :w], label_of, count, len(upper)
+            merged += 1
+    return ends - starts, parent, starts.size - merged, upper.size
 
 
 def _pass_probes(width: int, step: int) -> np.ndarray:
@@ -280,13 +273,22 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeli
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
-    run, label_of, count, _ = _label_runs(m, connectivity == 8)
-    # Look labels up on foreground pixels only: a full-size lookup would
-    # need a full-size intp copy of the run ids.
-    fg_labels = np.array(label_of, dtype=np.int32)[run[m]]
+    lengths, parent, count, _ = _label_runs(m, connectivity == 8)
+    # Number the roots in increasing order; every other run takes the
+    # label of its smaller parent.
+    label_of = [0] * len(parent)
+    n_roots = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            n_roots += 1
+            label_of[i] = n_roots
+        else:
+            label_of[i] = label_of[p]
+    # Runs are in row-major order, as are the foreground pixels.
+    run_labels = np.array(label_of, dtype=np.int32)
     labels = np.zeros(m.shape, dtype=np.int32)
-    labels[m] = fg_labels
-    sizes = np.bincount(fg_labels, minlength=count + 1)[1:].astype(np.int64)
+    labels[m] = run_labels.repeat(lengths)
+    sizes = np.bincount(run_labels, lengths, minlength=count + 1)[1:].astype(np.int64)
     return ComponentLabeling(labels=labels, count=count, sizes=sizes)
 
 
@@ -311,13 +313,15 @@ def betti_numbers(mask: BinaryMask) -> TopologySummary:
     """beta0 (8-conn components), beta1 (independent loops) and chi.
 
     beta1 is derived as beta0 - chi, exact for 8-connected foreground in 2-D.
-    chi comes from the same runs: each run is a closed bar, two runs meet
-    (in one segment or point) only if they touch across adjacent rows, and
-    no three runs meet, so by inclusion-exclusion chi = #runs - #touching
-    pairs, which equals ``euler_characteristic``.
+    Both counts come from the runs and the pairs of touching runs, with no
+    per-run labels: beta0 is #runs minus the unions that merged two
+    components. Each run is a closed bar, two runs meet (in one segment or
+    point) only if they touch across adjacent rows, and no three runs meet,
+    so by inclusion-exclusion chi = #runs - #touching pairs, which equals
+    ``euler_characteristic``.
     """
-    _, label_of, beta0, n_pairs = _label_runs(as_mask(mask), True)
-    euler = len(label_of) - 1 - n_pairs
+    lengths, _, beta0, n_pairs = _label_runs(as_mask(mask), True)
+    euler = lengths.size - n_pairs
     return TopologySummary(beta0=beta0, beta1=beta0 - euler, euler=euler)
 
 

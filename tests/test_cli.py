@@ -313,6 +313,38 @@ def test_lambda_with_no_adaptive_exits_1(capsys, tmp_path, train_data):
     assert "not allowed with" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(capsys, monkeypatch,
+                                                              tmp_path, train_data):
+    """main shares one parser across calls; a flag given to one call must not
+    reach the next, and a usage error stays one on every call."""
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    seen = []
+
+    def fake_train(config, triples):
+        seen.append(config.lam)
+        return TrainResult(VelocityModel(hidden=1, seed=0), [0.0], config)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "train", fake_train)
+    cli._parser.cache_clear()
+    train = ["train", "--data", str(train_data), "--checkpoint", str(tmp_path / "ck.json")]
+    assert main(train + ["--lambda", "3"]) == 0
+    assert main(train) == 0
+    assert main(train + ["--no-adaptive"]) == 0
+    assert main(train) == 0
+    assert seen == [3.0, TrainConfig.lam, 0.0, TrainConfig.lam]
+    for _ in range(2):
+        assert main(train + ["--lambda", "3", "--no-adaptive"]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+    assert len(seen) == 4
+    assert len(built) == 1
+
+
 def test_nonfinite_loss_in_train_exits_3(capsys, tmp_path, train_data):
     assert main(["train", "--data", str(train_data), "--checkpoint",
                  str(tmp_path / "ck.json"), "--lr", "1e150", "--steps", "60",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,20 @@ def test_records_are_pinned_whole(scene, ring_mask, tree_mask):
 def test_dataset_config_per_kind_of_wrong_type_is_rejected(tmp_path, per_kind, key):
     with pytest.raises(InvalidConfig, match=f"config value {key} must be"):
         DatasetConfig(out_dir=str(tmp_path), per_kind=per_kind)
+
+
+def test_dataset_config_per_kind_cannot_change_after_its_checks(tmp_path):
+    counts = {"refinement": 0}
+    config = DatasetConfig(out_dir=str(tmp_path / "ds"), per_kind=counts)
+    counts["refinement"] = -2  # the config holds its own copy
+    with pytest.raises(TypeError):
+        config.per_kind["bogus"] = 3
+    with pytest.raises(TypeError):
+        config.per_kind["refinement"] = -2
+    assert config.per_kind == {"refinement": 0}
+    assert replace(config, seed=1).per_kind == {"refinement": 0}
+    manifest = build_dataset(config)
+    assert open(manifest).read() == ""
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,35 @@ def _staircase(n, step, width):
     return m
 
 
+def _agrees_with_oracles(m):
+    """Labels at both connectivities and all three Betti counts, each against
+    an oracle that shares no code with the run-pair finder."""
+    for conn in (4, 8):
+        lab = label_components(m, conn)
+        ref_labels, ref_count = naive_flood_labels(m, conn)
+        assert lab.labels.dtype == np.int32 and lab.sizes.dtype == np.int64
+        assert lab.count == ref_count, conn
+        assert np.array_equal(lab.labels, ref_labels), conn
+        assert lab.sizes.tolist() == np.bincount(
+            ref_labels.ravel(), minlength=ref_count + 1)[1:].tolist()
+    s = betti_numbers(m)
+    assert s.beta0 == naive_flood_labels(m, 8)[1]
+    assert s.beta1 == (bounded_background_components(m) if m.size else 0)
+    assert s.euler == s.beta0 - s.beta1
+
+
+def _last_column_runs(h, w, shift):
+    """Even rows hold a run over the last 3 columns; odd rows a run over the
+    first 2 and one over the last 1 + ``shift``. In a flat row-major layout a
+    run ending in the last column abuts one starting in the first column of
+    the next row, which it must not touch."""
+    m = np.zeros((h, w), dtype=bool)
+    m[0::2, w - 3:] = True
+    m[1::2, :2] = True
+    m[1::2, w - 1 - shift:] = True
+    return m
+
+
 @pytest.mark.parametrize("name, m", [
     ("empty", np.zeros((5, 7), dtype=bool)),
     ("full", np.ones((6, 4), dtype=bool)),
@@ -119,15 +148,32 @@ def _staircase(n, step, width):
     ("staircase down-left", _staircase(6, 3, 3)[:, ::-1]),
     ("staircase apart", _staircase(6, 4, 3)),
     ("staircase 1px", np.eye(7, dtype=bool)[:, ::-1]),
+    ("0xN", np.zeros((0, 9), dtype=bool)),
+    ("Nx0", np.zeros((9, 0), dtype=bool)),
+    ("0x0", np.zeros((0, 0), dtype=bool)),
+    ("full row", np.ones((1, 17), dtype=bool)),
+    ("full column", np.ones((17, 1), dtype=bool)),
+    ("full large", np.ones((33, 40), dtype=bool)),
+    ("last column", _last_column_runs(7, 6, 0)),
+    ("last column two wide", _last_column_runs(7, 6, 1)),
+    ("last column narrow", _last_column_runs(8, 3, 0)),
+    ("staircase to the edge", _staircase(5, 2, 2)[:, ::-1]),
 ])
 def test_label_edge_cases_match_oracle(name, m):
-    for conn in (4, 8):
-        lab = label_components(m, conn)
-        ref_labels, ref_count = naive_flood_labels(m, conn)
-        assert lab.count == ref_count, (name, conn)
-        assert lab.labels.dtype == np.int32
-        assert np.array_equal(lab.labels, ref_labels), (name, conn)
-        assert lab.sizes.tolist() == np.bincount(ref_labels.ravel())[1:].tolist()
+    _agrees_with_oracles(m)
+    _agrees_with_oracles(m[::-1])
+
+
+def test_run_pairs_match_oracles_on_large_random_masks():
+    rng = np.random.default_rng(7)
+    for h, w in ((300, 257), (257, 300), (1, 300), (300, 1), (64, 129)):
+        _agrees_with_oracles(rng.random((h, w)) < rng.uniform(0.2, 0.8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12))))
+def test_run_pairs_match_oracles_property(m):
+    _agrees_with_oracles(m)
 
 
 # --------------------------- Betti numbers ------------------------------- #
