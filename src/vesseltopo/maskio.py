@@ -8,6 +8,10 @@ Conventions used throughout the toolkit:
 Files are binary PGM (P5) only: dependency-free and bit-exact. Writes use
 maxval 255 with foreground stored as 255 and background as 0, so that
 ``threshold(load_image(p), 0.5)`` round-trips any saved mask identically.
+Mask files are read and written as bytes and never pass through a float
+image: ``load_mask`` compares the integer payload with ``ceil(maxval / 2)``,
+which gives the same mask as ``threshold(load_image(p), 0.5)`` for every
+maxval, and ``save_mask`` writes 0 and 255 directly.
 Every output file of the package (images, manifests, CSVs, checkpoints)
 is written through ``write_atomic``.
 """
@@ -90,13 +94,8 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def load_image(path) -> GrayImage:
-    """Load a binary PGM (P5) file as a grayscale image scaled to [0, 1].
-
-    Raises OSError if the file cannot be read and FormatError if it is not
-    a well-formed P5 file (wrong magic, malformed header, bad maxval, or a
-    truncated payload). Intensities are scaled by division by maxval.
-    """
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """Read a binary PGM (P5) file as its (H, W) integer payload and maxval."""
     with open(path, "rb") as fh:
         buf = fh.read()
 
@@ -125,27 +124,51 @@ def load_image(path) -> GrayImage:
     if len(payload) < count * dtype.itemsize:
         raise FormatError("truncated PGM payload")
     raw = np.frombuffer(payload, dtype=dtype, count=count)
-    return raw.reshape(height, width).astype(np.float64) / float(maxval)
+    return raw.reshape(height, width), maxval
 
 
-def save_image(img: GrayImage, path) -> None:
-    """Write a grayscale image as binary PGM (P5), maxval 255."""
-    img = as_gray(img)
-    height, width = img.shape
-    data = np.rint(img * 255.0).astype(np.uint8)
+def _write_pgm(data: np.ndarray, path) -> None:
+    """Write a uint8 (H, W) array as binary PGM (P5), maxval 255."""
+    height, width = data.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     write_atomic(path, header + data.tobytes())
 
 
+def load_image(path) -> GrayImage:
+    """Load a binary PGM (P5) file as a grayscale image scaled to [0, 1].
+
+    Raises OSError if the file cannot be read and FormatError if it is not
+    a well-formed P5 file (wrong magic, malformed header, bad maxval, or a
+    truncated payload). Intensities are scaled by division by maxval.
+    """
+    raw, maxval = _read_pgm(path)
+    return raw.astype(np.float64) / float(maxval)
+
+
+def save_image(img: GrayImage, path) -> None:
+    """Write a grayscale image as binary PGM (P5), maxval 255."""
+    _write_pgm(np.rint(as_gray(img) * 255.0).astype(np.uint8), path)
+
+
 def save_mask(mask: BinaryMask, path) -> None:
     """Write a binary mask as P5 with foreground 255 and background 0."""
-    mask = as_mask(mask)
-    save_image(mask.astype(np.float64), path)
+    # astype, not a uint8 view: a bool array made by viewing other bytes may
+    # hold values other than 0 and 1
+    _write_pgm(as_mask(mask).astype(np.uint8) * 255, path)
 
 
 def load_mask(path) -> BinaryMask:
-    """Load a PGM and binarize it at intensity 0.5."""
-    return threshold(load_image(path), 0.5)
+    """Load a PGM and binarize it at intensity 0.5.
+
+    For integers, value / maxval >= 0.5 exactly when value >= ceil(maxval / 2);
+    no quotient below 0.5 rounds up to it, so this is the mask that
+    ``threshold(load_image(path), 0.5)`` gives. A payload value above maxval
+    raises the ValueError that ``threshold`` raises for an intensity above 1.
+    """
+    raw, maxval = _read_pgm(path)
+    if raw.max() > maxval:
+        raise ValueError("image intensities must lie in [0, 1]")
+    return raw >= (maxval + 1) // 2
 
 
 def threshold(img: GrayImage, t: float) -> BinaryMask:

@@ -69,6 +69,8 @@ def brute_cubical_counts(mask):
 def bounded_background_components(mask):
     """4-connected background components that do not touch the image border."""
     mask = np.asarray(mask, dtype=bool)
+    if not mask.size:
+        return 0
     labels, count = naive_flood_labels(~mask, 4)
     border = set(labels[0].tolist() + labels[-1].tolist()
                  + labels[:, 0].tolist() + labels[:, -1].tolist())

@@ -3,6 +3,7 @@ import inspect
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from vesseltopo import cli
@@ -29,6 +30,42 @@ def test_topology_subcommand(capsys, ring_file):
 def test_topology_missing_file_exits_2(capsys, tmp_path):
     assert main(["topology", str(tmp_path / "none.pgm")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+_MALFORMED_PGMS = {
+    "ascii_magic": (b"P2\n2 2\n255\n0 255 255 0\n", "unsupported magic b'P2'"),
+    "maxval_0": (b"P5\n2 2\n0\n" + bytes(4), "maxval 0 out of range"),
+    "maxval_70000": (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 out of range"),
+    "negative_width": (b"P5\n-1 2\n255\n" + bytes(4), "malformed header token b'-1'"),
+    "short_payload": (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM payload"),
+    "huge_header": (b"P5\n100000 100000\n255\n" + bytes(10), "truncated PGM payload"),
+    "above_maxval_8bit": (b"P5\n2 2\n200\n" + bytes([0, 201, 0, 0]),
+                          "image intensities must lie in [0, 1]"),
+    "above_maxval_16bit": (b"P5\n2 2\n1000\n" + bytes(6) + (1001).to_bytes(2, "big"),
+                           "image intensities must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_PGMS))
+def test_malformed_pgm_exits_2_on_every_reader(capsys, tmp_path, name):
+    payload, message = _MALFORMED_PGMS[name]
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(payload)
+    assert main(["topology", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+    for bad_side in ("pred", "gt"):
+        root = tmp_path / bad_side
+        for side in ("pred", "gt"):
+            (root / side).mkdir(parents=True)
+            if side == bad_side:
+                (root / side / "s.pgm").write_bytes(payload)
+            else:
+                save_mask(np.eye(2, dtype=bool), root / side / "s.pgm")
+        out = root / "m.csv"
+        assert main(["metrics", "--pred", str(root / "pred"), "--gt", str(root / "gt"),
+                     "--out", str(out)]) == 2, bad_side
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in root.iterdir()) == ["gt", "pred"]
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -155,3 +155,55 @@ def test_as_mask_shares_bool_input_and_callers_leave_it_unchanged():
     for fn in (perturb_disconnect, perturb_merge, perturb_holes):
         fn(gt, 1, seed=3)
     assert np.array_equal(gt, keep)
+
+
+def _pgm(tmp_path, maxval, values):
+    """A one-row P5 file holding ``values``, 16-bit above maxval 255."""
+    nbytes = 2 if maxval > 255 else 1
+    payload = b"".join(int(v).to_bytes(nbytes, "big") for v in values)
+    return _write(tmp_path / "v.pgm",
+                  f"P5\n{len(values)} 1\n{maxval}\n".encode() + payload)
+
+
+def _load_mask_matches_threshold(path):
+    mask = load_mask(path)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, threshold(load_image(path), 0.5))
+
+
+@pytest.mark.parametrize("maxval", [1, 2, 3, 127, 128, 254, 255])
+def test_load_mask_equals_threshold_at_every_8bit_value(tmp_path, maxval):
+    _load_mask_matches_threshold(_pgm(tmp_path, maxval, range(maxval + 1)))
+
+
+@pytest.mark.parametrize("maxval", [256, 1000, 65534, 65535])
+def test_load_mask_equals_threshold_at_16bit_ends_and_midpoint(tmp_path, maxval):
+    half = -(-maxval // 2)
+    p = _pgm(tmp_path, maxval, [0, 1, half - 1, half, half + 1, maxval - 1, maxval])
+    _load_mask_matches_threshold(p)
+    assert load_mask(p).tolist() == [[False] * 3 + [True] * 4]
+
+
+@pytest.mark.parametrize("maxval", [200, 1000])
+def test_payload_above_maxval_raises_in_load_mask(tmp_path, maxval):
+    p = _pgm(tmp_path, maxval, [0, maxval + 1, maxval])
+    with pytest.raises(ValueError, match=r"intensities must lie in \[0, 1\]"):
+        load_mask(p)
+    with pytest.raises(ValueError, match=r"intensities must lie in \[0, 1\]"):
+        threshold(load_image(p), 0.5)
+
+
+_BASE = np.random.default_rng(5).random((9, 14)) < 0.4
+
+
+@pytest.mark.parametrize("mask", [
+    _BASE, _BASE.astype(np.uint8), _BASE.astype(np.float64),
+    _BASE.T, np.rot90(_BASE), _BASE[1::2, ::3], _BASE[::-1, 2:-1].T,
+    np.zeros((0, 4), dtype=bool),
+    np.array([[0, 1, 2, 255]], dtype=np.uint8).view(bool),
+], ids=["bool", "uint8", "float", "transposed", "rot90", "strided",
+        "reversed_transposed", "no_rows", "bool_bytes_not_0_or_1"])
+def test_save_mask_bytes_equal_save_image_of_float_mask(tmp_path, mask):
+    save_mask(mask, tmp_path / "m.pgm")
+    save_image(mask.astype(np.float64), tmp_path / "i.pgm")
+    assert (tmp_path / "m.pgm").read_bytes() == (tmp_path / "i.pgm").read_bytes()
