@@ -4,14 +4,18 @@ Connectivity convention: 8-connected foreground, 4-connected background.
 This is the standard dual pair and matches the closed cubical complex used
 for the Euler characteristic, where corner-touching pixels share a vertex.
 
-* ``label_components``  - deterministic run-based union-find labeling
-  (4- or 8-conn), labels in first-touched row-major order. Run starts and
-  ends come from one scan of the row-padded mask; the runs that each run
-  touches in the row below, from two binary searches over those endpoints;
-  each run's label is then repeated over its length
+* ``label_components``  - deterministic run-forest labeling (4- or 8-conn),
+  labels in first-touched row-major order. Run starts and ends come from
+  one scan of the row-padded mask; the runs that each run touches in the
+  row above, from two binary searches over those endpoints. Each run hangs
+  under the first of them, pointer jumping takes every run to its tree's
+  top, and a union-find over tree tops alone joins the trees that runs with
+  two or more upper neighbours connect; each run's label is then repeated
+  over its length
 * ``betti_numbers``     - beta0, beta1 and Euler characteristic chi = V-E+F
-  from the same runs and pairs, with no per-run labels: beta0 is runs minus
-  merging unions, chi is runs minus touching run pairs
+  from the same runs and pairs, with no per-run labels: beta0 is trees
+  minus joins, chi is runs minus touching run pairs; trees are built and
+  joined only when some run touches two or more runs above
 * ``euler_characteristic`` - chi alone, by Gray's bit-quad count
 * ``count_loops``       - beta1 (equals the number of bounded 4-connected
   background components, the duality used as a test oracle)
@@ -23,8 +27,8 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
   neighbourhood code, and which earlier neighbours are candidates too,
   from one byte gather packed eight bytes to eight bits by a multiply
 
-All kernels are plain numpy plus short Python loops over run pairs, runs and
-thinning candidates; nothing is compiled.
+All kernels are plain numpy plus short Python loops over the runs that touch
+two or more runs above and over thinning candidates; nothing is compiled.
 """
 
 from __future__ import annotations
@@ -133,13 +137,14 @@ _PACK8 = np.uint64(0x0102040810204080)
 _QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
-def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int, int]:
-    """Run-based union-find labeling (Wu, Otoo & Suzuki 2005).
+def _runs(m: np.ndarray, conn8: bool
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of foreground pixels, and the runs of the row above that each touches.
 
-    Returns the length of each run, the union-find parent of each run, the
-    component count and the number of pairs of touching runs. Runs are
-    numbered 0..n-1 in row-major order; every root is its component's first
-    run, whatever order the pairs are merged in, and parent[i] <= i.
+    Runs are numbered 0..n-1 in row-major order. Returns the length of each
+    run; the first run ``lo[i]`` that run i touches in the row above and the
+    number ``n_upper[i]`` it touches there, which are consecutive; and the
+    runs that touch two or more.
     """
     # Flat row-major copy with one background pixel in front and one after
     # every row, so that no run crosses a row; its edges alternate between
@@ -151,34 +156,71 @@ def _label_runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, list[int], int,
     edges = (buf[1:] != buf[:-1]).nonzero()[0]
     starts = edges[0::2]
     ends = edges[1::2]
-    # A run [s, e) touches the runs [s', e') of the row below whose columns
-    # overlap its own, widened by one pixel each way under 8-adjacency:
-    # s' < e + width + slack and e' > s + width - slack. Starts and ends are
-    # both increasing, so these runs are one index range [lo, hi), and no
-    # run of another row falls in it.
-    slack = 1 if conn8 else 0
-    lo = ends.searchsorted(starts + (width - slack), side="right")
-    hi = starts.searchsorted(ends + (width + slack), side="left")
-    counts = hi - lo
-    upper = np.arange(starts.size).repeat(counts)
-    lower = np.arange(upper.size) + (lo + counts - counts.cumsum()).repeat(counts)
-    # Union-find hooking the larger root under the smaller.
-    parent = list(range(starts.size))
-    merged = 0
-    for a, b in zip(upper.tolist(), lower.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a < b:
-            parent[b] = a
-            merged += 1
-        elif b < a:
-            parent[a] = b
-            merged += 1
-    return ends - starts, parent, starts.size - merged, upper.size
+    # A run [s, e) touches the runs [s', e') of the row above whose columns
+    # overlap its own, e' > s - width and s' < e - width, or under
+    # 8-adjacency touch it at a corner too, e' >= s - width and
+    # s' <= e - width. Starts and ends are both increasing, so these runs
+    # are one index range [lo, hi), and no run of another row falls in it.
+    up = edges - width
+    if conn8:
+        lo = ends.searchsorted(up[0::2], side="left")
+        hi = starts.searchsorted(up[1::2], side="right")
+    else:
+        lo = ends.searchsorted(up[0::2], side="right")
+        hi = starts.searchsorted(up[1::2], side="left")
+    n_upper = hi - lo
+    return ends - starts, lo, n_upper, (n_upper > 1).nonzero()[0]
+
+
+def _label_runs(lo: np.ndarray, n_upper: np.ndarray, multi: np.ndarray, run: np.ndarray,
+                h: int) -> tuple[np.ndarray, dict[int, int], int]:
+    """Run-forest labeling, after run-based union-find (Wu, Otoo & Suzuki 2005).
+
+    Takes the upper neighbours of each run from ``_runs``, and ``run`` =
+    ``arange(n)``. Each run that touches the row above hangs under the first
+    run it touches there, so every link goes up one row and no tree is more
+    than h - 1 links deep; ceil(log2(h - 1)) rounds of pointer jumping
+    (Shiloach & Vishkin 1982) then take every run to its tree's top, which
+    is the tree's smallest run. Only the runs in ``multi``, which touch two
+    or more runs above, have further pairs. Each of those may join two
+    trees, through a small union-find over tree tops alone that hooks the
+    larger top under the smaller, so each component's root is its first run
+    in row-major order.
+
+    Returns the top of every run's tree, the component root of every top
+    that was hooked under another, and the number of touching pairs other
+    than each run's first.
+    """
+    top = np.where(n_upper, lo, run)
+    for _ in range((h - 2).bit_length()):
+        top = top[top]
+    hooked: dict[int, int] = {}  # a joined top -> a smaller top of its component
+    n_extra = 0
+    tops, firsts, counts = top.data, lo.data, n_upper.data  # scalar access
+    for i in multi.tolist():
+        a = tops[i]
+        while a in hooked:
+            up = hooked[a]
+            hooked[a] = hooked.get(up, up)
+            a = up
+        first = firsts[i]
+        for j in range(first + 1, first + counts[i]):
+            n_extra += 1
+            b = tops[j]
+            while b in hooked:
+                up = hooked[b]
+                hooked[b] = hooked.get(up, up)
+                b = up
+            if a < b:
+                hooked[b] = a
+            elif b < a:
+                hooked[a] = b
+                a = b
+    # Every top is hooked under a smaller one, so in increasing order each
+    # one's parent already points at its component's root.
+    for t in sorted(hooked):
+        hooked[t] = hooked.get(hooked[t], hooked[t])
+    return top, hooked, n_extra
 
 
 def _pass_probes(width: int, step: int) -> np.ndarray:
@@ -266,26 +308,28 @@ def _thin(m: np.ndarray) -> np.ndarray:
 def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeling:
     """Label connected components under 4- or 8-adjacency.
 
-    Horizontal runs are merged by union-find over the run pairs that touch.
-    Components are numbered 1..count in the order their first pixel is
-    reached by a row-major scan, which makes labelings reproducible.
+    Horizontal runs form a forest, each hanging under the first run it
+    touches in the row above; pointer jumping finds every run's tree top,
+    and a union-find over tree tops joins the trees that a run touching two
+    or more runs above connects. Components are numbered 1..count in the
+    order their first pixel is reached by a row-major scan, which makes
+    labelings reproducible.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
-    lengths, parent, count, _ = _label_runs(m, connectivity == 8)
+    lengths, lo, n_upper, multi = _runs(m, connectivity == 8)
+    run = np.arange(lengths.size)
+    root, hooked, _ = _label_runs(lo, n_upper, multi, run, m.shape[0])
+    if hooked:
+        root[list(hooked)] = list(hooked.values())
+        root = root[root]
     # Number the roots in increasing order; every other run takes the
-    # label of its smaller parent.
-    label_of = [0] * len(parent)
-    n_roots = 0
-    for i, p in enumerate(parent):
-        if p == i:
-            n_roots += 1
-            label_of[i] = n_roots
-        else:
-            label_of[i] = label_of[p]
+    # label of its root.
+    roots = (root == run).nonzero()[0]
+    count = roots.size
+    run_labels = roots.searchsorted(root, side="right")
     # Runs are in row-major order, as are the foreground pixels.
-    run_labels = np.array(label_of, dtype=np.int32)
     labels = np.zeros(m.shape, dtype=np.int32)
     labels[m] = run_labels.repeat(lengths)
     sizes = np.bincount(run_labels, lengths, minlength=count + 1)[1:].astype(np.int64)
@@ -314,14 +358,23 @@ def betti_numbers(mask: BinaryMask) -> TopologySummary:
 
     beta1 is derived as beta0 - chi, exact for 8-connected foreground in 2-D.
     Both counts come from the runs and the pairs of touching runs, with no
-    per-run labels: beta0 is #runs minus the unions that merged two
-    components. Each run is a closed bar, two runs meet (in one segment or
-    point) only if they touch across adjacent rows, and no three runs meet,
-    so by inclusion-exclusion chi = #runs - #touching pairs, which equals
+    per-run labels. In the run forest, where each run hangs under the first
+    run it touches in the row above, beta0 is #trees (runs touching nothing
+    above) minus the joins of two trees by runs touching two or more above;
+    with no such run there is nothing to join, and no forest is built. Each
+    run is a closed bar, two runs meet (in one segment or point) only if
+    they touch across adjacent rows, and no three runs meet, so by
+    inclusion-exclusion chi = #runs - #touching pairs, which equals
     ``euler_characteristic``.
     """
-    lengths, _, beta0, n_pairs = _label_runs(as_mask(mask), True)
-    euler = lengths.size - n_pairs
+    m = as_mask(mask)
+    lengths, lo, n_upper, multi = _runs(m, True)
+    beta0 = euler = lengths.size - int(np.count_nonzero(n_upper))  # trees
+    if multi.size:
+        _, hooked, n_extra = _label_runs(lo, n_upper, multi, np.arange(lengths.size),
+                                         m.shape[0])
+        beta0 -= len(hooked)
+        euler -= n_extra
     return TopologySummary(beta0=beta0, beta1=beta0 - euler, euler=euler)
 
 
@@ -408,10 +461,12 @@ def skeletonize(mask: BinaryMask) -> BinaryMask:
 def is_simple_point(mask: BinaryMask, y: int, x: int) -> bool:
     """True iff deleting foreground pixel (y, x) preserves local topology."""
     m = as_mask(mask)
+    h, w = m.shape
+    if not (0 <= y < h and 0 <= x < w):
+        raise IndexError(f"({y}, {x}) is outside the {h}x{w} mask")
     if not m[y, x]:
         raise ValueError(f"({y}, {x}) is not a foreground pixel")
     code = 0
-    h, w = m.shape
     for i, (dy, dx) in enumerate(_OFFS8):
         ny, nx = y + dy, x + dx
         if 0 <= ny < h and 0 <= nx < w and m[ny, nx]:

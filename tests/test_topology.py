@@ -137,6 +137,50 @@ def _last_column_runs(h, w, shift):
     return m
 
 
+def _tall_loop(h):
+    """Two 1-pixel columns of height ``h``, two apart and closed into a loop
+    by bars on the top and bottom rows, beside a lone pixel at the top right.
+    The bottom bar hangs h - 1 links below the top one in the run forest and
+    closes the loop, so a tree top left unresolved shows as a second
+    component or as a run labelled like the lone pixel."""
+    m = np.zeros((h, 5), dtype=bool)
+    m[:, [0, 2]] = True
+    m[[0, -1], :3] = True
+    m[0, 4] = True
+    return m
+
+
+def _comb(teeth):
+    """1-pixel teeth on every other column, whose tops lie on rows 0-4 in a
+    scrambled order, all touching one bar along the bottom row."""
+    m = np.zeros((6, 2 * teeth - 1), dtype=bool)
+    for i in range(teeth):
+        m[(3 * i) % 5:, 2 * i] = True
+    m[-1] = True
+    return m
+
+
+def _art(*rows):
+    return np.array([[c == "#" for c in row] for row in rows], dtype=bool)
+
+
+# Under 8-adjacency each valley run touches two runs above that belong to
+# trees with different tops. In the M the right peak is the higher one, so
+# the valley's first upper neighbour has the larger top; in the W the left
+# peak is the highest, so it has the smaller.
+_M = _art(".......#",
+          "#.....##",
+          "##...#.#",
+          "#.#.#..#",
+          "#..#...#",
+          "#......#")
+_W = _art("#.........",
+          "#...#.....",
+          "#...#...#.",
+          ".#.#.#.#..",
+          "..#...#...")
+
+
 @pytest.mark.parametrize("name, m", [
     ("empty", np.zeros((5, 7), dtype=bool)),
     ("full", np.ones((6, 4), dtype=bool)),
@@ -158,6 +202,11 @@ def _last_column_runs(h, w, shift):
     ("last column two wide", _last_column_runs(7, 6, 1)),
     ("last column narrow", _last_column_runs(8, 3, 0)),
     ("staircase to the edge", _staircase(5, 2, 2)[:, ::-1]),
+    *[(f"column loop of height {h}", _tall_loop(h))
+      for k in range(1, 10) for h in (2 ** k + 1, 2 ** k + 2)],
+    ("comb", _comb(9)),
+    ("M", _M),
+    ("W", _W),
 ])
 def test_label_edge_cases_match_oracle(name, m):
     _agrees_with_oracles(m)
@@ -455,6 +504,15 @@ def test_simple_lut_against_betti_delta_oracle():
         db0, db1 = betti_delta_after_removal(m, int(y), int(x))
         assert is_simple_point(m, int(y), int(x)) == (db0 == 0 and db1 == 0)
         checked += 1
+
+
+def test_is_simple_point_rejects_coordinates_outside_the_mask():
+    m = np.zeros((3, 5), dtype=bool)
+    m[2] = True
+    assert is_simple_point(m, 2, 0)
+    for y, x in ((-1, 0), (3, 0), (2, -5), (2, -1), (2, 5)):
+        with pytest.raises(IndexError):
+            is_simple_point(m, y, x)
 
 
 def test_simple_lut_known_codes():
