@@ -1,16 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vesseltopo import topology
 from vesseltopo.errors import DimensionMismatch
 from vesseltopo.synth import VesselParams, generate_vessel
 from vesseltopo.topology import (
     _DELETABLE_LUT,
+    _FEW_DELETED,
     _OFFS8,
-    _pass_codes,
-    _pass_probes,
+    _PASS_STATUS,
+    _PASSES,
+    _code_image,
+    _thin_pass,
     SIMPLE_LUT,
     TopologySummary,
     beta0_matching_error,
@@ -387,34 +393,77 @@ def test_skeleton_idempotent():
         assert np.array_equal(skeletonize(skel), skel)
 
 
-def test_pass_codes_match_brute_force():
-    # early bit i: neighbour i (NW, N, NE, W) is a candidate of the pass,
-    # i.e. foreground with a background step-neighbour, off-canvas counting
-    # as background. Wrong early bits that only over-report slow thinning
-    # down without changing its output, so they are checked here directly.
-    def fg(m, y, x):
-        return 0 <= y < m.shape[0] and 0 <= x < m.shape[1] and bool(m[y, x])
+def _early_bits(m, y, x, sy, sx):
+    # Early bit i: neighbour i (NW, N, NE, W) of (y, x) is a candidate of
+    # the pass of step (sy, sx), i.e. foreground with a background step-
+    # neighbour, off-canvas counting as background.
+    def fg(yy, xx):
+        return 0 <= yy < m.shape[0] and 0 <= xx < m.shape[1] and bool(m[yy, xx])
 
+    return sum(1 << i for i, (dy, dx) in enumerate(_OFFS8[:4])
+               if fg(y + dy, x + dx) and not fg(y + dy + sy, x + dx + sx))
+
+
+def test_code_image_and_pass_tables_match_brute_force():
+    # Runs the passes of _thin one at a time. Before every pass the kept
+    # code image must equal _code_at at every pixel a pass can read it (the
+    # mask and a one-pixel ring around it), and each candidate's table
+    # status must be _PASS_STATUS at its brute-force early bits. Wrong early
+    # bits that only over-report slow thinning down without changing its
+    # output, so they are checked here directly.
     rng = np.random.default_rng(29)
     for _ in range(60):
-        h, w = rng.integers(1, 10, size=2)
+        h, w = rng.integers(1, 11, size=2)
         m = rng.random((h, w)) < rng.uniform(0.3, 0.9)
-        width = w + 2
-        padded = np.zeros((h + 2, width), dtype=bool)
-        padded[1:-1, 1:-1] = m
-        f = padded.ravel()
-        for step, (sy, sx) in ((-width, (-1, 0)), (width, (1, 0)),
-                               (1, (0, 1)), (-1, (0, -1))):
-            fgq = np.flatnonzero(f)
-            cand = fgq[~f[fgq + step]]
-            code, early = _pass_codes(f.view(np.uint8), cand,
-                                      _pass_probes(width, step))
-            for q, c, e in zip(cand.tolist(), code.tolist(), early.tolist()):
-                y, x = q // width - 1, q % width - 1
-                assert c == _code_at(m, y, x)
-                assert e == sum(1 << i for i, (dy, dx) in enumerate(_OFFS8[:4])
-                                if fg(m, y + dy, x + dx)
-                                and not fg(m, y + dy + sy, x + dx + sx))
+        width = w + 4
+        framed = np.zeros((h + 4, width), dtype=bool)
+        framed[2:-2, 2:-2] = m
+        f = framed.ravel()
+        codes = _code_image(f, width)
+        offsets = np.array([dy * width + dx for dy, dx in _OFFS8])
+        ringed = framed[1:-1, 1:-1]  # a live view of the mask and the ring
+        quiet = 0
+        for direction in itertools.cycle(_PASSES):
+            assert codes.reshape(h + 4, width)[1:-1, 1:-1].tolist() == [
+                [_code_at(ringed, y, x) for x in range(w + 2)] for y in range(h + 2)]
+            step_bit, dy, dx, extra_mask, table = direction
+            sy, sx = _OFFS8[step_bit]
+            for y, x in np.argwhere(ringed).tolist():
+                if ringed[y + sy, x + sx]:
+                    continue  # not a candidate of this pass
+                q = (y + 1) * width + x + 1
+                code = _code_at(ringed, y, x)
+                extra = int(codes[q + dy * width + dx]) & extra_mask
+                early = _early_bits(ringed, y, x, sy, sx)
+                assert table[extra << 8 | code] == _PASS_STATUS[early << 8 | code]
+            before = f.copy()
+            gone = _thin_pass(f, codes, np.flatnonzero(f), width, offsets, direction)
+            assert sorted(gone.tolist()) == np.flatnonzero(before & ~f).tolist()
+            quiet = 0 if gone.size else quiet + 1
+            if quiet == 4:
+                break
+        assert np.array_equal(framed[2:-2, 2:-2], _reference_skeleton(m))
+
+
+def test_pass_tables_match_brute_force_on_every_neighbourhood():
+    # Every assignment of the pixels a pass's table reads, the candidate's
+    # 3x3 and the 3x3 of its extra code, in a 5x5 patch whose other pixels
+    # are random: the candidate is foreground and its step-neighbour not.
+    rng = np.random.default_rng(53)
+    for step_bit, dy, dx, extra_mask, table in _PASSES:
+        sy, sx = _OFFS8[step_bit]
+        free = sorted({(2 + oy + ay, 2 + ox + ax) for oy, ox in ((0, 0), (dy, dx))
+                       for ay in (-1, 0, 1) for ax in (-1, 0, 1)}
+                      - {(2, 2), (2 + sy, 2 + sx)})
+        for bits in range(1 << len(free)):
+            patch = rng.random((5, 5)) < 0.5
+            patch[2, 2], patch[2 + sy, 2 + sx] = True, False
+            for j, (y, x) in enumerate(free):
+                patch[y, x] = bits >> j & 1
+            code = _code_at(patch, 2, 2)
+            extra = _code_at(patch, 2 + dy, 2 + dx) & extra_mask
+            early = _early_bits(patch, 2, 2, sy, sx)
+            assert table[extra << 8 | code] == _PASS_STATUS[early << 8 | code]
 
 
 def _reference_skeleton(m):
@@ -488,13 +537,60 @@ def test_skeleton_matches_reference_on_thick_blobs():
         _assert_skeleton_matches_reference(m)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12))))
+def test_skeleton_matches_reference_property(m):
+    _assert_skeleton_matches_reference(m)
+
+
+def test_skeleton_matches_reference_across_both_code_updates(monkeypatch):
+    # A solid 40x300 bar and a dense random 64x64 mask: their first passes
+    # delete more than _FEW_DELETED pixels each and their later passes
+    # fewer, so the kept codes are updated both by per-offset writes and by
+    # np.bitwise_and.at. After every pass they must equal the codes built
+    # afresh from the mask.
+    deleted = []
+
+    def checked_pass(f, codes, fg, width, offsets, direction):
+        gone = _thin_pass(f, codes, fg, width, offsets, direction)
+        assert np.array_equal(codes, _code_image(f, width))
+        deleted.append(gone.size)
+        return gone
+
+    monkeypatch.setattr(topology, "_thin_pass", checked_pass)
+    bar = np.zeros((44, 304), dtype=bool)
+    bar[2:42, 2:302] = True
+    for m in (bar, np.random.default_rng(61).random((64, 64)) < 0.8):
+        deleted.clear()
+        _assert_skeleton_matches_reference(m)
+        assert max(deleted) > _FEW_DELETED
+        assert any(0 < n <= _FEW_DELETED for n in deleted)
+
+
+def test_skeleton_matches_reference_with_deletions_in_the_last_column():
+    # Thick foreground against the right edge, at widths that are not
+    # multiples of 8: the deleted pixels' neighbours there lie in the frame
+    # and, in the flat layout, beside the first column of the next row.
+    rng = np.random.default_rng(59)
+    for w in (3, 5, 9, 13, 21, 30, 37):
+        for _ in range(4):
+            m = rng.random((int(rng.integers(4, 20)), w)) < 0.5
+            m[:, -3:] = True
+            skel = skeletonize(m)
+            assert (m[:, -1] & ~skel[:, -1]).any()
+            _assert_skeleton_matches_reference(m)
+
+
 # --------------------------- simple points ------------------------------- #
 
 def test_simple_lut_against_betti_delta_oracle():
     # local simplicity must coincide with "deleting the pixel leaves both
-    # Betti numbers unchanged", checked by brute force
+    # Betti numbers unchanged", checked by brute force; and adding a
+    # background pixel must keep both exactly when it is simple in the mask
+    # with it added. Half the added pixels lie on the canvas border, where
+    # off-canvas neighbours count as background.
     rng = np.random.default_rng(9)
-    checked = 0
+    checked = added = 0
     while checked < 400:
         m = rng.random((6, 6)) < rng.uniform(0.3, 0.8)
         fg = np.argwhere(m)
@@ -504,6 +600,19 @@ def test_simple_lut_against_betti_delta_oracle():
         db0, db1 = betti_delta_after_removal(m, int(y), int(x))
         assert is_simple_point(m, int(y), int(x)) == (db0 == 0 and db1 == 0)
         checked += 1
+    border = np.ones((6, 6), dtype=bool)
+    border[1:-1, 1:-1] = False
+    while added < 400:
+        m = rng.random((6, 6)) < rng.uniform(0.2, 0.8)
+        bg = np.argwhere(~m & (border if added % 2 else ~border))
+        if len(bg) == 0:
+            continue
+        y, x = (int(v) for v in bg[rng.integers(len(bg))])
+        grown = m.copy()
+        grown[y, x] = True
+        db0, db1 = betti_delta_after_removal(grown, y, x)
+        assert is_simple_point(grown, y, x) == (db0 == 0 and db1 == 0)
+        added += 1
 
 
 def test_is_simple_point_rejects_coordinates_outside_the_mask():
