@@ -6,7 +6,9 @@ counted from explicit vertex/edge/face sets, and loop counts come from
 the bounded-background duality. The reference thinner is the plain
 pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly,
 the reference rasteriser stamps one disk per call, as the vectorised
-``synth._disk_pixels`` must reproduce exactly, and the reference 3x3
+``synth._disk_pixels`` must reproduce exactly, the reference bridge loop
+draws, stamps and recounts one bridge at a time, as the batched
+``synth._bridge_edit`` must reproduce exactly, and the reference 3x3
 convolution is the einsum form whose bits the matrix products of
 ``flowgen._conv3`` and ``flowgen._conv3_backward`` must reproduce.
 """
@@ -160,15 +162,96 @@ def _stamp_disk(canvas: np.ndarray, cy: float, cx: float, r: float,
     canvas[y0:y1, x0:x1][yy * yy + xx * xx <= r * r] = value
 
 
-def stamp_tube(canvas, p0, p1, r0, r1):
-    """One disk per position along p0 -> p1 (radii lerped)."""
+def stamp_tube(canvas, p0, p1, r):
+    """One disk of radius r per position along p0 -> p1."""
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
     dist = float(np.hypot(*(p1 - p0)))
     n = max(2, int(dist * 2) + 1)
     for t in np.linspace(0.0, 1.0, n):
         pos = p0 + t * (p1 - p0)
-        _stamp_disk(canvas, pos[0], pos[1], r0 + t * (r1 - r0))
+        _stamp_disk(canvas, pos[0], pos[1], r)
+
+
+def bridge_edit(cur, rng, partners, radius, deltas, budget, betti):
+    """One bridge, drawn, stamped and recounted one attempt at a time.
+
+    Each attempt draws p among the foreground pixels fg, then q among those
+    where ``partners(fg, p)`` holds (if none, the attempt proposes nothing),
+    stamps a tube from p to q on a copy of cur and recounts it with
+    ``betti``, the one library call here. Returns ``(mask, sites)`` of the
+    first tube whose (beta0, beta1) change is in deltas, or None; then the
+    attempts used and the tubes proposed.
+    """
+    fg = np.argwhere(cur)
+    base = betti(cur)
+    proposed = 0
+    for n in range(1, budget + 1):
+        p = fg[rng.integers(len(fg))]
+        picks = np.nonzero(partners(fg, p))[0]
+        if len(picks) == 0:
+            continue
+        q = fg[picks[rng.integers(len(picks))]]
+        proposed += 1
+        cand = cur.copy()
+        stamp_tube(cand, p, q, radius)
+        b = betti(cand)
+        if (b.beta0 - base.beta0, b.beta1 - base.beta1) in deltas:
+            return (cand, ((int(p[0]), int(p[1])), (int(q[0]), int(q[1])))), n, proposed
+    return None, budget, proposed
+
+
+def insert_loops(mask, n_loops, rng, radius, betti):
+    """Loop insertion by ``bridge_edit``: same-tree partners 8 px to 0.35 of
+    the shorter side away, 100 attempts a loop. Returns the looped mask, or
+    None, and the (attempts, proposals) of each loop tried."""
+    cur = mask
+    max_span = 0.35 * min(cur.shape)
+    used = []
+    for _ in range(n_loops):
+        labels = naive_flood_labels(cur, 8)[0]
+
+        def same_tree(fg, p, labels=labels):
+            d = np.hypot(fg[:, 0] - p[0], fg[:, 1] - p[1])
+            same = labels[fg[:, 0], fg[:, 1]] == labels[p[0], p[1]]
+            return (d >= 8) & (d <= max_span) & same
+
+        found, n, proposed = bridge_edit(cur, rng, same_tree, radius, {(0, 1)}, 100, betti)
+        used.append((n, proposed))
+        if found is None:
+            return None, used
+        cur = found[0]
+    return cur, used
+
+
+def perturb_merge(mask, k, seed, budget, betti):
+    """k merges by ``bridge_edit`` sharing one budget: partners 3 to 6 px
+    away in the chessboard metric, radius 1.2. Returns (mask, sites, beta0
+    delta, beta1 delta), or the message of the edit that ran out of
+    attempts; the (attempts, proposals) of each edit tried; and the final
+    rng state."""
+    def near(fg, p):
+        d = np.maximum(np.abs(fg[:, 0] - p[0]), np.abs(fg[:, 1] - p[1]))
+        return (d >= 3) & (d <= 6)
+
+    rng = np.random.default_rng(seed)
+    cur = np.asarray(mask, dtype=bool).copy()
+    base = betti(cur)
+    sites = []
+    used = []
+    for i in range(k):
+        found, n, proposed = bridge_edit(cur, rng, near, 1.2, {(-1, 0), (0, 1)},
+                                         budget - sum(u[0] for u in used), betti)
+        used.append((n, proposed))
+        if found is None:
+            spent = sum(u[0] for u in used)
+            return (f"could not place bridge {i + 1} of {k} after {spent} attempts",
+                    used, rng.bit_generator.state)
+        cur, new_sites = found
+        sites.extend(new_sites)
+    b = betti(cur)
+    return ((cur, tuple(sites), b.beta0 - base.beta0, b.beta1 - base.beta1),
+            used, rng.bit_generator.state)
 
 
 def local_halfwidth(mask, y, x, cap=6):

@@ -24,7 +24,6 @@ _KEYWORD_DEFAULTS = {
     ("flowgen", "refine_eval", "steps"),
     ("flowgen", "refine_eval", "seed"),
     ("flowgen", "refine_eval", "csv_path"),
-    ("synth", "_insert_loops.same_tree", "labels"),  # a closure binding
     ("synth", "emit_samples", "n_bad"),
     ("synth", "emit_samples", "max_k"),
     ("topology", "label_components", "connectivity"),

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vesseltopo import synth
 from vesseltopo.errors import InsufficientStructure, InvalidParams
@@ -11,6 +14,7 @@ from vesseltopo.synth import (
     _disk_pixels,
     _local_halfwidth,
     _stamp_tube,
+    _tube_pixels,
     emit_samples,
     generate_vessel,
     perturb_dilate_noise,
@@ -19,8 +23,10 @@ from vesseltopo.synth import (
     perturb_holes,
     perturb_merge,
 )
-from vesseltopo.topology import TopologySummary, betti_numbers
+from vesseltopo.topology import (TopologySummary, _euler_deltas, betti_numbers,
+                                 euler_characteristic)
 
+from tests import oracles
 from tests.oracles import _stamp_disk, local_halfwidth, stamp_tube
 
 
@@ -119,7 +125,7 @@ def test_disk_pixels_matches_reference_disks():
         for n in (1, 2, 7):
             cy, cx, r = _random_disks(rng, h, w, n)
             got = np.zeros(shape, dtype=bool)
-            got[_disk_pixels(shape, cy, cx, r)] = True
+            got[_disk_pixels(shape, cy, cx, r)[1:]] = True
             assert np.array_equal(got, _reference_disks(shape, cy, cx, r)), \
                 (shape, cy, cx, r)
     # disks straddling each border and disks wholly outside each side
@@ -128,9 +134,9 @@ def test_disk_pixels_matches_reference_disks():
     cx = [6.0, 7.2, -0.4, 13.6, 3.0, 5.0, -6.5, 20.1, 7.0]
     r = [3.0, 2.5, 4.0, 1.7, 6.0, 6.0, 6.0, 6.0, 6.0]
     got = np.zeros((h, w), dtype=bool)
-    got[_disk_pixels((h, w), cy, cx, r)] = True
+    got[_disk_pixels((h, w), cy, cx, r)[1:]] = True
     assert np.array_equal(got, _reference_disks((h, w), cy, cx, r))
-    rows, cols = _disk_pixels((h, w), cy[4:8], cx[4:8], r[4:8])
+    _, rows, cols = _disk_pixels((h, w), cy[4:8], cx[4:8], r[4:8])
     assert rows.size == 0 and cols.size == 0
 
 
@@ -142,9 +148,208 @@ def test_stamp_tube_matches_reference_tube():
             cy, cx, r = _random_disks(rng, h, w, 2)
             got = np.zeros(shape, dtype=bool)
             ref = np.zeros(shape, dtype=bool)
-            _stamp_tube(got, (cy[0], cx[0]), (cy[1], cx[1]), r[0], r[1])
-            stamp_tube(ref, (cy[0], cx[0]), (cy[1], cx[1]), r[0], r[1])
+            _stamp_tube(got, (cy[0], cx[0]), (cy[1], cx[1]), r[0])
+            stamp_tube(ref, (cy[0], cx[0]), (cy[1], cx[1]), r[0])
             assert np.array_equal(got, ref), (shape, cy, cx, r)
+
+
+def _reference_tube(shape, p0, p1, r):
+    ref = np.zeros(shape, dtype=bool)
+    stamp_tube(ref, p0, p1, r)
+    return ref
+
+
+def test_tube_pixels_match_reference_tubes():
+    rng = np.random.default_rng(3)
+    h, w = 20, 27
+    # a tube that crosses each border, one along the top row, one wholly
+    # outside, single points (p == q) inside, on a corner and outside
+    ends = [((-3, 5), (6, 9)), ((14, 8), (25, 12)), ((7, -4), (12, 6)),
+            ((3, 20), (9, 31)), ((0, 0), (0, 26)), ((-9, -9), (-3, -7)),
+            ((10, 13), (10, 13)), ((0, 26), (0, 26)), ((-2, 30), (-2, 30))]
+    ends += [tuple(map(tuple, e)) for e in rng.integers(-4, 31, (24, 2, 2))]
+    for r in (0.5, 1.0, 1.2, 2.5):
+        for batch in (ends, ends[:1], ends[6:7]):
+            tube, rows, cols = _tube_pixels((h, w), np.array(batch), r)
+            for i, (p0, p1) in enumerate(batch):
+                got = np.zeros((h, w), dtype=bool)
+                got[rows[tube == i], cols[tube == i]] = True
+                assert np.array_equal(got, _reference_tube((h, w), p0, p1, r)), (r, p0, p1)
+    # fractional ends, as perturb_disconnect stamps its cuts
+    for _ in range(30):
+        p0, p1 = rng.uniform(-3.0, 23.0, (2, 2))
+        tube, rows, cols = _tube_pixels((h, w), [(p0, p1)], 1.7)
+        got = np.zeros((h, w), dtype=bool)
+        got[rows, cols] = True
+        assert np.array_equal(got, _reference_tube((h, w), p0, p1, 1.7)), (p0, p1)
+
+
+def test_tube_pixels_take_the_disk_centres_of_stamp_tube(monkeypatch):
+    # a centre one ulp off moves a pixel only where it lies exactly on a
+    # rim, so the centres themselves are compared, bit for bit
+    centres = []
+    disk_pixels = synth._disk_pixels
+
+    def spy(shape, cy, cx, r):
+        centres.append((np.array(cy), np.array(cx)))
+        return disk_pixels(shape, cy, cx, r)
+
+    monkeypatch.setattr(synth, "_disk_pixels", spy)
+    rng = np.random.default_rng(4)
+    ends = np.concatenate([rng.integers(0, 40, (40, 2, 2)).astype(float),
+                           rng.uniform(0.0, 40.0, (40, 2, 2))])
+    _tube_pixels((40, 40), ends, 1.0)
+    batched = centres.pop()
+    for p0, p1 in ends:
+        _stamp_tube(np.zeros((40, 40), dtype=bool), p0, p1, 1.0)
+    assert np.array_equal(batched[0], np.concatenate([cy for cy, _ in centres]))
+    assert np.array_equal(batched[1], np.concatenate([cx for _, cx in centres]))
+
+
+_coords = st.integers(-4, 17)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))),
+       st.lists(st.tuples(_coords, _coords, _coords, _coords, st.booleans()),
+                min_size=1, max_size=6),
+       st.sampled_from([0.5, 1.0, 1.2, 2.0]))
+def test_euler_deltas_match_recounted_chi_property(mask, tubes, r):
+    # a tube marked covered is made foreground first, so it adds no pixel;
+    # tubes wholly off the canvas add none either
+    ends = np.array([[(y0, x0), (y1, x1)] for y0, x0, y1, x1, _ in tubes])
+    tube, rows, cols = _tube_pixels(mask.shape, ends, r)
+    cur = mask.copy()
+    for i, (*_, covered) in enumerate(tubes):
+        if covered:
+            cur[rows[tube == i], cols[tube == i]] = True
+    got = _euler_deltas(cur, tube, rows, cols, len(tubes))
+    base = euler_characteristic(cur)
+    for i in range(len(tubes)):
+        grown = cur.copy()
+        grown[rows[tube == i], cols[tube == i]] = True
+        assert got[i] == euler_characteristic(grown) - base, i
+
+
+class _CountingRng:
+    """Counts the draws an edit makes; the state is the wrapped rng's."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def integers(self, *args):
+        self.draws += 1
+        return self.rng.integers(*args)
+
+
+def _spy_on_bridges(monkeypatch):
+    """Record (attempts, draws, rng state after) of every bridge edit made."""
+    calls = []
+    factory = synth._bridge_edit
+
+    def spied_factory(partners, radius, deltas):
+        edit = factory(partners, radius, deltas)
+
+        def spied(cur, cur_b, rng, sites, budget):
+            counting = _CountingRng(rng)
+            found, n = edit(cur, cur_b, counting, sites, budget)
+            calls.append((n, counting.draws, rng.bit_generator.state))
+            return found, n
+        return spied
+
+    monkeypatch.setattr(synth, "_bridge_edit", spied_factory)
+    return calls
+
+
+def _undone_draws(calls, used, accepted):
+    """Check each edit's attempts and draws against the one-at-a-time
+    reference's (attempts, proposals); return how many accepted edits drew
+    past the accepted proposal, and so had their rng set back."""
+    assert [n for n, _, _ in calls] == [n for n, _ in used]
+    undone = 0
+    for i, ((_, draws, _), (n, proposed)) in enumerate(zip(calls, used)):
+        # one draw of p per attempt, one of q per proposal
+        if i < accepted:
+            assert draws >= n + proposed
+            undone += draws > n + proposed
+        else:
+            assert draws == n + proposed
+    return undone
+
+
+def test_bridge_edit_recounts_a_bridge_whose_euler_change_matches():
+    # a bridge along the top of a bar that touches a blob above it lowers
+    # chi by one, as a new loop does, but it fuses the blob and closes no loop
+    m = np.zeros((12, 24), dtype=bool)
+    m[6:9, 2:22] = True
+    m[4, 11:13] = True
+    ends = np.array([[(6, 4), (6, 19)]])
+    tube, rows, cols = _tube_pixels(m.shape, ends, 1.0)
+    assert _euler_deltas(m, tube, rows, cols, 1).tolist() == [-1]
+
+    def only_this_bridge(cur, fg):
+        p, q = (np.flatnonzero((fg == end).all(1)) for end in ends[0])
+        return lambda i: q if i == p[0] else q[:0]
+
+    for deltas, kept in (({(0, 1)}, False), ({(-1, 0)}, True)):
+        rng = np.random.default_rng(0)
+        found, n = synth._bridge_edit(only_this_bridge, 1.0, deltas)(
+            m, betti_numbers(m), rng, (), 300)
+        assert (found is not None) == kept and (n < 300) == kept
+        if kept:
+            assert found[2] == ((6, 4), (6, 19))
+            assert found[1] == betti_numbers(found[0]) == TopologySummary(1, 0, 1)
+
+
+def test_insert_loops_matches_one_at_a_time_reference(monkeypatch):
+    calls = _spy_on_bridges(monkeypatch)
+    undone = failed = 0
+    for seed in range(12):
+        params = VesselParams(width=48 + 16 * (seed % 3), height=48 + 16 * (seed % 3),
+                              n_trees=1 + seed % 2, radius_root=2.0, seed=seed)
+        _, tree, _ = generate_vessel(params)
+        rng = np.random.default_rng(seed + 100)
+        want_rng = np.random.default_rng(seed + 100)
+        calls.clear()
+        got = synth._insert_loops(tree, 3, rng, params)
+        want, used = oracles.insert_loops(tree, 3, want_rng, params.radius_min, betti_numbers)
+        assert (got is None) == (want is None), seed
+        assert got is None or np.array_equal(got, want), seed
+        assert rng.bit_generator.state == want_rng.bit_generator.state, seed
+        undone += _undone_draws(calls, used, len(used) - (want is None))
+        failed += want is None
+    # acceptance before the end of a batch, and a spent budget, both occur
+    assert undone and failed
+
+
+@pytest.mark.parametrize("budget", [1000, 45])
+def test_merges_match_one_at_a_time_reference(monkeypatch, budget):
+    calls = _spy_on_bridges(monkeypatch)
+    monkeypatch.setattr(synth, "_MAX_SITE_ATTEMPTS", budget)
+    undone = failed = 0
+    for seed in range(8):
+        _, gt, _ = generate_vessel(VesselParams(width=64, height=64, n_trees=1 + seed % 2,
+                                                radius_root=2.0, seed=seed))
+        calls.clear()
+        want, used, want_state = oracles.perturb_merge(gt, 3, seed + 50, budget, betti_numbers)
+        if isinstance(want, str):
+            with pytest.raises(InsufficientStructure) as info:
+                perturb_merge(gt, 3, seed=seed + 50)
+            assert str(info.value) == want, seed
+        else:
+            out, log = perturb_merge(gt, 3, seed=seed + 50)
+            mask, sites, d0, d1 = want
+            assert np.array_equal(out, mask), seed
+            assert log == PerturbationLog("merge", sites, d0, d1), seed
+        assert calls[-1][2] == want_state, seed
+        undone += _undone_draws(calls, used, len(used) - isinstance(want, str))
+        failed += isinstance(want, str)
+    assert undone and failed
 
 
 def test_local_halfwidth_matches_probe_loop():
@@ -284,7 +489,8 @@ def thick_bar():
 @pytest.mark.parametrize("fn, mask, seed, message, betti_calls", [
     # each cut site tries two erase widths, both rejected: 1 + 2 * 20 recounts
     (perturb_disconnect, annulus(), 0, "could not place cut 1 of 2 after 20 attempts", 41),
-    (perturb_merge, thick_bar(), 0, "could not place bridge 1 of 2 after 20 attempts", 21),
+    # no bridge inside the bar changes chi by -1, so only the base is counted
+    (perturb_merge, thick_bar(), 0, "could not place bridge 1 of 2 after 20 attempts", 1),
     # the first cut takes a tube site; the second spends what is left
     (perturb_disconnect, annulus_and_tube(), 0,
      "could not place cut 2 of 2 after 20 attempts", 40),
@@ -334,6 +540,26 @@ def test_perturbation_logs_match_recomputed_betti():
             assert s1.beta0 - s0.beta0 == log.expected_beta0_delta
             assert s1.beta1 - s0.beta1 == log.expected_beta1_delta
             assert log.sites
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2),
+       st.sampled_from(["disconnect", "merge", "hole", "dilate-noise"]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_perturbation_log_deltas_equal_recounted_betti_property(
+        scene, n_trees, n_loops, family, k, seed):
+    _, gt, s0 = generate_vessel(VesselParams(width=48, height=48, n_trees=n_trees,
+                                             n_loops=n_loops, radius_root=2.0, seed=scene))
+    try:
+        if family == "dilate-noise":
+            out, log = perturb_dilate_noise(gt, seed=seed)
+        else:
+            out, log = synth._PERTURB_FAMILIES[family](gt, k, seed=seed)
+    except InsufficientStructure:
+        return
+    s1 = betti_numbers(out)
+    assert (s1.beta0 - s0.beta0, s1.beta1 - s0.beta1) == \
+        (log.expected_beta0_delta, log.expected_beta1_delta)
 
 
 def test_perturbations_deterministic():
