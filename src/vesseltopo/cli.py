@@ -4,25 +4,45 @@ Subcommands: synth, metrics, taskgen, train, refine, topology. All runs are
 deterministic given identical flags and inputs; outputs carry no timestamps
 or absolute paths. Exit codes: 0 success, 1 usage error, 2 input/data error,
 3 internal failure.
+
+Stage modules load on first use: ``topology`` and ``metrics`` load only the
+scoring layers the package itself imports; ``train`` and ``refine`` add
+``flowgen``; ``synth`` adds ``synth`` and ``taskgen`` adds ``taskgen`` and
+``synth``. The stage names this module once imported at the top (``train``,
+``build_dataset``, ``TrainConfig``, ...) are still attributes of it, served
+from their stage module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from dataclasses import fields
 
 from .errors import FormatError, NonFiniteLoss, VesselTopoError, build_config
-from .flowgen import (TrainConfig, load_checkpoint, refine_eval, save_checkpoint,
-                      train, write_loss_curve)
 from .maskio import load_image, load_mask, write_atomic
 from .metrics import format_csv, metric_report
-from .synth import VesselParams, emit_samples
-from .taskgen import TASK_KINDS, DatasetConfig, build_dataset, verify_answers
 from .topology import betti_numbers
+
+# The stage names this module serves; each subcommand imports its own when it runs.
+_STAGE_NAMES = {
+    "flowgen": ("TrainConfig", "load_checkpoint", "refine_eval", "save_checkpoint",
+                "train", "write_loss_curve"),
+    "synth": ("VesselParams", "emit_samples"),
+    "taskgen": ("TASK_KINDS", "DatasetConfig", "build_dataset", "verify_answers"),
+}
+_STAGE_OF = {name: stage for stage, names in _STAGE_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    """Serve a stage name from its module, loading it on first use (PEP 562)."""
+    if name not in _STAGE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_STAGE_OF[name]}", __package__), name)
 
 
 class _UsageError(Exception):
@@ -117,6 +137,8 @@ def cmd_metrics(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    from .synth import VesselParams, emit_samples
+
     params = _config(VesselParams, args)
     manifest = emit_samples(args.out, params, args.count,
                             **_given(args, "n_bad", "max_k"))
@@ -124,6 +146,8 @@ def cmd_synth(args) -> None:
 
 
 def cmd_taskgen(args) -> None:
+    from .taskgen import TASK_KINDS, DatasetConfig, build_dataset, verify_answers
+
     if args.per_kind is not None:  # one count for every kind
         args.per_kind = {kind: args.per_kind for kind in TASK_KINDS}
     manifest = build_dataset(_config(DatasetConfig, args, out_dir=args.out))
@@ -140,6 +164,8 @@ def cmd_taskgen(args) -> None:
 
 
 def cmd_train(args) -> None:
+    from .flowgen import TrainConfig, save_checkpoint, train, write_loss_curve
+
     config = _config(TrainConfig, args)
     triples = _load_triples(args.data, args.limit)
     result = train(config, triples)
@@ -152,6 +178,8 @@ def cmd_train(args) -> None:
 
 
 def cmd_refine(args) -> None:
+    from .flowgen import load_checkpoint, refine_eval
+
     triples = _load_triples(args.data, args.limit)
     model, _ = load_checkpoint(args.checkpoint)
     agg_in, agg_out = refine_eval(model, triples, csv_path=args.out,

@@ -14,6 +14,8 @@ bridge's Euler change from the bit-quads around its new pixels; only a
 bridge whose Euler change can match is recounted, and the first that
 passes is kept, with the rng set back so that the result, the attempts
 used and the random stream equal those of trying one bridge at a time.
+Dilate-noise keeps a grown pixel when it is a simple point of the grown
+mask, and one recount verifies the returned mask.
 
 Randomness is split per tree and per perturbation via ``SeedSequence`` so
 that editing one part of a scene never reshuffles the rest.
@@ -31,11 +33,12 @@ import numpy as np
 
 from .errors import InsufficientStructure, InvalidParams
 from .maskio import BinaryMask, GrayImage, as_mask, save_image, save_mask, write_atomic
-from .topology import (TopologySummary, _euler_deltas, betti_numbers, label_components,
-                       skeletonize)
+from .topology import (_OFFS8, SIMPLE_LUT, TopologySummary, _euler_deltas, betti_numbers,
+                       label_components, skeletonize)
 
 _MAX_SCENE_ATTEMPTS = 100
 _MAX_SITE_ATTEMPTS = 1000
+_SIMPLE = SIMPLE_LUT.tolist()
 
 
 @dataclass(frozen=True)
@@ -555,6 +558,11 @@ def perturb_dilate_noise(mask: BinaryMask, seed: int) -> tuple[BinaryMask, Pertu
     Produces a mask that differs from the input but has verified identical
     Betti numbers; used for topology-equivalent 'good' candidates. Falls
     back to smaller subsets when a grown pixel would fuse or close anything.
+
+    Adding a pixel keeps beta0 and beta1 exactly when it is a simple point
+    of the mask with it added, so each proposed pixel is decided from its
+    neighbourhood code there (off-canvas neighbours are background); one
+    recount of the returned mask verifies the whole edit.
     """
     m = as_mask(mask).copy()
     rng = np.random.default_rng(seed)
@@ -564,15 +572,20 @@ def perturb_dilate_noise(mask: BinaryMask, seed: int) -> tuple[BinaryMask, Pertu
         return m, PerturbationLog("dilate-noise", (), 0, 0)
     # each background pixel next to the mask is proposed with probability 0.35
     chosen = candidates[rng.random(len(candidates)) < 0.35]
-    cur = m
+    width = m.shape[1] + 2
+    grid = np.pad(m, 1).ravel().tolist()
+    offsets = [(dy * width + dx, i) for i, (dy, dx) in enumerate(_OFFS8)]
     sites: list[tuple[int, int]] = []
-    for y, x in chosen:
-        cand = cur.copy()
-        cand[y, x] = True
-        if betti_numbers(cand) == base:
-            cur = cand
-            sites.append((int(y), int(x)))
-    return cur, PerturbationLog("dilate-noise", tuple(sites), 0, 0)
+    for y, x in chosen.tolist():
+        p = (y + 1) * width + x + 1
+        if _SIMPLE[sum(grid[p + o] << i for o, i in offsets)]:
+            grid[p] = m[y, x] = True
+            sites.append((y, x))
+    grown = betti_numbers(m)
+    if grown != base:
+        raise AssertionError(f"dilate-noise changed the Betti numbers from {base} "
+                             f"to {grown}")
+    return m, PerturbationLog("dilate-noise", tuple(sites), 0, 0)
 
 
 _PERTURB_FAMILIES = {

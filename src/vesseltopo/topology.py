@@ -45,7 +45,8 @@ from .maskio import BinaryMask, as_mask, check_same_shape
 # 8-neighbour offsets in row-major order; bit i of a neighbourhood code
 # corresponds to _OFFS8[i].
 _OFFS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-_EDGE_NEIGHBOURS = {(-1, 0), (0, -1), (0, 1), (1, 0)}
+# The ring of _OFFS8 bits walked from E: E, NE, N, NW, W, SW, S, SE.
+_RING = (4, 2, 1, 0, 3, 5, 6, 7)
 
 
 @dataclass(frozen=True)
@@ -64,47 +65,20 @@ class TopologySummary:
     euler: int
 
 
-def _ring_components(cells: list[tuple[int, int]], conn8: bool) -> list[set]:
-    """Connected components of a subset of the 8-neighbour ring."""
-    remaining = set(cells)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            cy, cx = frontier.pop()
-            for oy, ox in list(remaining):
-                dy, dx = abs(cy - oy), abs(cx - ox)
-                close = (max(dy, dx) == 1) if conn8 else (dy + dx == 1)
-                if close:
-                    remaining.discard((oy, ox))
-                    comp.add((oy, ox))
-                    frontier.append((oy, ox))
-        comps.append(comp)
-    return comps
-
-
 def _build_luts() -> tuple[np.ndarray, np.ndarray]:
     """Simple-point and deletability tables over all 256 neighbourhood codes.
 
-    A foreground pixel is simple iff its foreground neighbours form exactly
-    one 8-connected piece and its background neighbours form exactly one
-    4-connected piece touching an edge neighbour; deleting a simple point
-    preserves both foreground and background topology. Deletable additionally
-    requires >= 2 foreground neighbours so arc endpoints survive thinning.
+    A foreground pixel is simple (deleting it preserves both foreground and
+    background topology) iff Yokoi's 8-connectivity number is 1: the sum
+    over the edge neighbours k of bk - bk*bk+1*bk+2, where bk is 1 for a
+    background neighbour and the ring is walked from E. Deletable
+    additionally requires >= 2 foreground neighbours so arc endpoints
+    survive thinning.
     """
-    simple = np.zeros(256, dtype=np.bool_)
-    deletable = np.zeros(256, dtype=np.bool_)
-    for code in range(256):
-        fg = [off for i, off in enumerate(_OFFS8) if (code >> i) & 1]
-        bg = [off for i, off in enumerate(_OFFS8) if not (code >> i) & 1]
-        n_fg = len(_ring_components(fg, conn8=True))
-        bg_comps = _ring_components(bg, conn8=False)
-        n_bg = sum(1 for comp in bg_comps if comp & _EDGE_NEIGHBOURS)
-        simple[code] = n_fg == 1 and n_bg == 1
-        deletable[code] = simple[code] and len(fg) >= 2
-    return simple, deletable
+    bg = 1 - (np.arange(256)[:, None] >> np.array(_RING) & 1)
+    turns = bg * bg[:, [1, 2, 3, 4, 5, 6, 7, 0]] * bg[:, [2, 3, 4, 5, 6, 7, 0, 1]]
+    simple = (bg - turns)[:, ::2].sum(1) == 1
+    return simple, simple & (8 - bg.sum(1) >= 2)
 
 
 SIMPLE_LUT, _DELETABLE_LUT = _build_luts()

@@ -3,12 +3,16 @@
 These deliberately share no code with the library paths they check:
 labeling is a naive flood fill, the Euler characteristic is
 counted from explicit vertex/edge/face sets, and loop counts come from
-the bounded-background duality. The reference thinner is the plain
+the bounded-background duality. The simple-point tables come from a
+search of each neighbourhood ring's pieces, against which the closed form
+of ``topology._build_luts`` is checked. The reference thinner is the plain
 pixel-by-pixel sequential scan that ``skeletonize`` must reproduce exactly,
 the reference rasteriser stamps one disk per call, as the vectorised
 ``synth._disk_pixels`` must reproduce exactly, the reference bridge loop
 draws, stamps and recounts one bridge at a time, as the batched
-``synth._bridge_edit`` must reproduce exactly, and the reference 3x3
+``synth._bridge_edit`` must reproduce exactly, the reference dilate-noise
+edit recounts after every proposed pixel, as the simple-point test of
+``synth.perturb_dilate_noise`` must reproduce exactly, and the reference 3x3
 convolution is the einsum form whose bits the matrix products of
 ``flowgen._conv3`` and ``flowgen._conv3_backward`` must reproduce.
 """
@@ -94,6 +98,48 @@ def betti_delta_after_removal(mask, y, x):
     b0a, b1a = betti(mask)
     b0b, b1b = betti(removed)
     return b0b - b0a, b1b - b1a
+
+
+def _ring_components(cells, conn8):
+    """Connected components of a subset of the 8-neighbour ring."""
+    remaining = set(cells)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            cy, cx = frontier.pop()
+            for oy, ox in list(remaining):
+                dy, dx = abs(cy - oy), abs(cx - ox)
+                close = (max(dy, dx) == 1) if conn8 else (dy + dx == 1)
+                if close:
+                    remaining.discard((oy, ox))
+                    comp.add((oy, ox))
+                    frontier.append((oy, ox))
+        comps.append(comp)
+    return comps
+
+
+def simple_point_tables():
+    """(simple, deletable) over all 256 neighbourhood codes by ring search.
+
+    A code is simple iff its foreground neighbours form exactly one
+    8-connected piece and its background neighbours exactly one 4-connected
+    piece touching an edge neighbour; deletable also needs >= 2 foreground
+    neighbours. Bit i of a code is neighbour ``_OFFS[8][i]``.
+    """
+    simple = np.zeros(256, dtype=bool)
+    deletable = np.zeros(256, dtype=bool)
+    for code in range(256):
+        fg = [off for i, off in enumerate(_OFFS[8]) if (code >> i) & 1]
+        bg = [off for i, off in enumerate(_OFFS[8]) if not (code >> i) & 1]
+        n_fg = len(_ring_components(fg, conn8=True))
+        n_bg = sum(1 for comp in _ring_components(bg, conn8=False)
+                   if comp & set(_OFFS[4]))
+        simple[code] = n_fg == 1 and n_bg == 1
+        deletable[code] = simple[code] and len(fg) >= 2
+    return simple, deletable
 
 
 def _code_at(mask, y, x):
@@ -252,6 +298,32 @@ def perturb_merge(mask, k, seed, budget, betti):
     b = betti(cur)
     return ((cur, tuple(sites), b.beta0 - base.beta0, b.beta1 - base.beta1),
             used, rng.bit_generator.state)
+
+
+def dilate_noise(mask, seed, betti):
+    """The dilate-noise edit, recounting the whole mask with ``betti`` after
+    each proposed pixel: each background pixel with a foreground 8-neighbour
+    is proposed with probability 0.35 and kept when the counts are unchanged.
+    Returns the mask and the kept sites."""
+    m = np.asarray(mask, dtype=bool).copy()
+    rng = np.random.default_rng(seed)
+    base = betti(m)
+    h, w = m.shape
+    framed = np.pad(m, 1)
+    near = np.zeros_like(m)
+    for dy, dx in _OFFS[8]:
+        near |= framed[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+    candidates = np.argwhere(near & ~m)
+    if len(candidates) == 0:
+        return m, ()
+    sites = []
+    for y, x in candidates[rng.random(len(candidates)) < 0.35].tolist():
+        grown = m.copy()
+        grown[y, x] = True
+        if betti(grown) == base:
+            m = grown
+            sites.append((y, x))
+    return m, tuple(sites)
 
 
 def local_halfwidth(mask, y, x, cap=6):

@@ -1,12 +1,15 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vesseltopo import cli
+from vesseltopo import cli, flowgen, synth, taskgen
 from vesseltopo.cli import build_parser, main
 from vesseltopo.flowgen import (TrainConfig, TrainResult, VelocityModel, refine_eval,
                                 save_checkpoint)
@@ -270,8 +273,8 @@ def test_unset_options_resolve_to_the_dataclass_defaults(monkeypatch, tmp_path,
         seen.append(config)
         return "manifest.jsonl"
 
-    monkeypatch.setattr(cli, "train", fake_train)
-    monkeypatch.setattr(cli, "build_dataset", fake_build_dataset)
+    monkeypatch.setattr(flowgen, "train", fake_train)
+    monkeypatch.setattr(taskgen, "build_dataset", fake_build_dataset)
     assert main(["train", "--data", str(train_data),
                  "--checkpoint", str(tmp_path / "ck.json")]) == 0
     assert main(["taskgen", "--out", str(tmp_path / "ds")]) == 0
@@ -367,7 +370,7 @@ def test_parser_is_built_once_and_keeps_no_flag_between_calls(capsys, monkeypatc
         return TrainResult(VelocityModel(hidden=1, seed=0), [0.0], config)
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(flowgen, "train", fake_train)
     cli._parser.cache_clear()
     train = ["train", "--data", str(train_data), "--checkpoint", str(tmp_path / "ck.json")]
     assert main(train + ["--lambda", "3"]) == 0
@@ -465,3 +468,55 @@ def test_limit_below_one_exits_2(capsys, tmp_path, train_data, command, limit):
     assert f"--limit must be at least 1, got {limit}" in captured.err
     assert "trained" not in captured.out and "refined" not in captured.out
     assert ck.exists() == (command == "refine")
+
+
+# What `main(argv)` leaves imported in a fresh interpreter: its exit code and
+# the vesseltopo modules, as the last line of stdout.
+_LOADED_BY = """import json, sys
+from vesseltopo.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("vesseltopo"))]))
+"""
+_SCORING = ["vesseltopo", "vesseltopo.cli", "vesseltopo.errors", "vesseltopo.maskio",
+            "vesseltopo.metrics", "vesseltopo.topology"]
+_STAGES_OF = {"topology": [], "metrics": [], "train": ["flowgen"], "refine": ["flowgen"],
+              "synth": ["synth"], "taskgen": ["synth", "taskgen"]}
+
+
+@pytest.mark.parametrize("command", sorted(_STAGES_OF))
+def test_each_subcommand_loads_only_its_own_stage(tmp_path, ring_file, train_data, command):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(VelocityModel(hidden=4, seed=0), TrainConfig(steps=1, hidden=4), ck)
+    argv = {
+        "topology": [ring_file],
+        "metrics": ["--pred", ring_file.parent, "--gt", ring_file.parent],
+        "train": ["--data", train_data, "--checkpoint", tmp_path / "trained.json",
+                  "--steps", "1", "--batch", "1", "--hidden", "4"],
+        "refine": ["--data", train_data, "--checkpoint", ck, "--steps", "1"],
+        "synth": ["--out", tmp_path / "s", "--count", "1", "--width", "32",
+                  "--height", "32"],
+        "taskgen": ["--out", tmp_path / "t", "--per-kind", "1", "--width", "32",
+                    "--height", "32"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _LOADED_BY, command, *map(str, argv)],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    rc, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert rc == 0, result.stderr
+    assert loaded == sorted(_SCORING + [f"vesseltopo.{s}" for s in _STAGES_OF[command]])
+
+
+def test_stage_names_of_cli_are_the_stage_modules_objects():
+    stages = {flowgen: ["TrainConfig", "load_checkpoint", "refine_eval", "save_checkpoint",
+                        "train", "write_loss_curve"],
+              synth: ["VesselParams", "emit_samples"],
+              taskgen: ["TASK_KINDS", "DatasetConfig", "build_dataset", "verify_answers"]}
+    for module, names in stages.items():
+        for name in names:
+            assert name not in vars(cli), name
+            assert getattr(cli, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'fit'"):
+        cli.fit

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesseltopo import synth
+from vesseltopo.cli import main
 from vesseltopo.errors import InsufficientStructure, InvalidParams
 from vesseltopo.synth import (
     PerturbationLog,
@@ -577,6 +578,40 @@ def test_dilate_noise_preserves_topology():
     assert (out >= gt).all()
     assert (out != gt).any()
     assert log.kind == "dilate-noise"
+
+
+def test_dilate_noise_matches_recount_per_pixel_reference():
+    """Scenes and random masks, small ones too, whose grown pixels often lie
+    on the canvas border."""
+    rng = np.random.default_rng(17)
+    masks = [generate_vessel(VesselParams(width=48, height=48, n_trees=1 + s % 2,
+                                          n_loops=s % 3, radius_root=2.0, seed=s))[1]
+             for s in range(8)]
+    masks += [rng.random(tuple(rng.integers(1, 13, 2))) < rng.uniform(0.15, 0.85)
+              for _ in range(150)]
+    masks += [np.zeros((3, 4), dtype=bool), np.ones((3, 4), dtype=bool)]
+    kept = 0
+    for seed, mask in enumerate(masks):
+        out, log = perturb_dilate_noise(mask, seed=seed)
+        ref, sites = oracles.dilate_noise(mask, seed, betti_numbers)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref), seed
+        assert log == PerturbationLog("dilate-noise", sites, 0, 0), seed
+        kept += len(sites)
+    assert kept > 500
+
+
+def test_dilate_noise_verifier_raises_when_a_grown_pixel_changes_topology(
+        monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(synth, "_SIMPLE", [True] * 256)
+    ring = np.ones((5, 5), dtype=bool)
+    ring[1:4, 1:4] = False
+    with pytest.raises(AssertionError, match="dilate-noise changed the Betti numbers"):
+        perturb_dilate_noise(ring, seed=0)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"per_kind": {"quality_judgement": 2}}))
+    assert main(["taskgen", "--out", str(tmp_path / "t"), "--width", "32",
+                 "--height", "32", "--config", str(config)]) == 3
+    assert "dilate-noise changed the Betti numbers" in capsys.readouterr().err
 
 
 def test_emit_samples_layout_and_determinism(tmp_path):

@@ -37,6 +37,7 @@ from tests.oracles import (
     bounded_background_components,
     brute_cubical_counts,
     naive_flood_labels,
+    simple_point_tables,
 )
 
 masks_strategy = hnp.arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10)))
@@ -622,6 +623,12 @@ def test_is_simple_point_rejects_coordinates_outside_the_mask():
     for y, x in ((-1, 0), (3, 0), (2, -5), (2, -1), (2, 5)):
         with pytest.raises(IndexError):
             is_simple_point(m, y, x)
+
+
+def test_simple_point_tables_match_ring_search_on_every_code():
+    simple, deletable = simple_point_tables()
+    assert SIMPLE_LUT.tolist() == simple.tolist()
+    assert _DELETABLE_LUT.tolist() == deletable.tolist()
 
 
 def test_simple_lut_known_codes():
