@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, build_config, typed
 from .maskio import (GrayImage, as_gray, as_mask, check_same_shape, threshold,
@@ -100,7 +99,8 @@ def _broadcast_weights(w: TokenWeightMap, shape: tuple[int, int]) -> np.ndarray:
             f"weight grid {ht}x{wt} does not tile latent {h}x{v}"
         )
     p = h // ht
-    return np.kron(w.weights, np.ones((p, p)))
+    # the bytes of np.kron(weights, np.ones((p, p))): a product by 1.0 is exact
+    return w.weights.repeat(p, 0).repeat(p, 1)
 
 
 def weighted_flow_loss(v_pred: np.ndarray, v_target: np.ndarray,
@@ -130,45 +130,64 @@ def _loss_and_dv(v_pred: np.ndarray, v_target: np.ndarray,
 def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """Same-padded 3x3 convolution as one BLAS product on im2col rows.
 
-    Returns the output and the window view of the padded input, which
-    ``_conv3_backward`` reads. The products here and in the backward pass
-    use the operand layouts numpy's einsum picks for the same contractions,
-    so every bit matches the einsum form (on a 1x1 canvas, up to the sign of
-    a zero weight gradient): ``rows @ W.T`` must not become ``W @ cols``,
-    which rounds differently for one output channel.
+    Returns the output and the padded input, which ``_conv3_backward``
+    reads. The products here and in the backward pass use the operand
+    layouts numpy's einsum picks for the same contractions, so every bit
+    matches the einsum form (on a 1x1 canvas, up to the sign of a zero
+    weight gradient): ``rows @ W.T`` must not become ``W @ cols``, which
+    rounds differently for one output channel.
+
+    ``rows`` is filled by nine slice copies, one per tap, each moving h*w*c
+    elements. A copy of a transposed window view of ``xp`` runs numpy's
+    inner loop over 3 elements at a time, and was the largest cost of a step.
     """
     c, h, w = x.shape
     f = weight.shape[0]
     xp = np.zeros((c, h + 2, w + 2))
     xp[:, 1:-1, 1:-1] = x
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
-    rows = win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * 9)
-    out = (rows @ weight.reshape(f, c * 9).T).T.reshape(f, h, w)
+    rows = np.empty((h, w, c, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            rows[..., i, j] = xp[:, i:i + h, j:j + w].transpose(1, 2, 0)
+    out = (rows.reshape(h * w, c * 9) @ weight.reshape(f, c * 9).T).T.reshape(f, h, w)
     # free the copy before the cached output is allocated, or the heap keeps
     # its pages: holding it raised flow-32's peak RSS by about 0.8 MiB
     del rows
-    return out + bias[:, None, None], win
+    return out + bias[:, None, None], xp
 
 
-def _conv3_backward(weight: np.ndarray, win: np.ndarray, dout: np.ndarray,
+def _conv3_backward(weight: np.ndarray, xp: np.ndarray, dout: np.ndarray,
                     input_grad: bool):
     """Gradients wrt weight, bias and, unless ``input_grad`` is off, input.
 
-    ``cols`` is a copy of its own: the transposed view of the forward's
-    ``rows`` rounds differently.
+    ``xp`` is the padded input that ``_conv3`` returns. ``cols`` is filled
+    by nine slice copies of it, as ``rows`` is; it is a layout of its own
+    because the transposed ``rows`` rounds differently. With one output
+    channel each input-gradient tap is a product of one weight and one
+    output gradient, so plain multiplies into one reused buffer give the
+    bits of the matrix product.
     """
     f, c = weight.shape[:2]
     h, w = dout.shape[1:]
     d2 = dout.reshape(f, h * w)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * 9, h * w)
-    d_weight = (cols @ d2.T).T.reshape(weight.shape)
+    cols = np.empty((c, 3, 3, h, w))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, i:i + h, j:j + w]
+    d_weight = (cols.reshape(c * 9, h * w) @ d2.T).T.reshape(weight.shape)
     d_bias = dout.sum(axis=(1, 2))
     if not input_grad:
         return d_weight, d_bias, None
     dxp = np.zeros((c, h + 2, w + 2))
+    if f == 1:
+        tap = np.empty((c, h, w))
     for i in range(3):
         for j in range(3):
-            dxp[:, i:i + h, j:j + w] += (weight[:, :, i, j].T @ d2).reshape(c, h, w)
+            if f == 1:
+                np.multiply(weight[0, :, i, j, None, None], dout[0], out=tap)
+            else:
+                tap = (weight[:, :, i, j].T @ d2).reshape(c, h, w)
+            dxp[:, i:i + h, j:j + w] += tap
     return d_weight, d_bias, dxp[:, 1:-1, 1:-1]
 
 
@@ -209,8 +228,8 @@ class VelocityModel:
         caches = []
         last = len(self.params) - 1
         for li, (weight, bias) in enumerate(self.params):
-            pre, win = _conv3(a, weight, bias)
-            caches.append((win, pre))
+            pre, xp = _conv3(a, weight, bias)
+            caches.append((xp, pre))
             a = np.maximum(pre, 0.0) if li < last else pre
         return a[0], caches
 
@@ -223,11 +242,11 @@ class VelocityModel:
         da = d_out[None]
         last = len(self.params) - 1
         for li in range(last, -1, -1):
-            win, pre = caches[li]
+            xp, pre = caches[li]
             dpre = da if li == last else da * (pre > 0)
             # layer 0's input is the data, whose gradient nothing reads
             d_weight, d_bias, da = _conv3_backward(
-                self.params[li][0], win, dpre, input_grad=li > 0
+                self.params[li][0], xp, dpre, input_grad=li > 0
             )
             grads[li] = [d_weight, d_bias]
         return grads

@@ -110,6 +110,20 @@ _PASS_STATUS = _build_pass_status(_DELETABLE_LUT)
 _QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
+def _run_edges(m: np.ndarray) -> np.ndarray:
+    """Run starts and ends of a mask, alternating, in a row-padded flat index.
+
+    The index is that of a flat row-major copy with one background pixel in
+    front and one after every row, so that no run crosses a row; an end is
+    one past the run's last pixel. Pixel (y, x) has index y * (w + 1) + x.
+    """
+    h, w = m.shape
+    width = w + 1
+    buf = np.zeros(h * width + 1, dtype=bool)
+    buf[1:].reshape(h, width)[:, :w] = m
+    return (buf[1:] != buf[:-1]).nonzero()[0]
+
+
 def _runs(m: np.ndarray, conn8: bool
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Runs of foreground pixels, and the runs of the row above that each touches.
@@ -119,14 +133,8 @@ def _runs(m: np.ndarray, conn8: bool
     number ``n_upper[i]`` it touches there, which are consecutive; and the
     runs that touch two or more.
     """
-    # Flat row-major copy with one background pixel in front and one after
-    # every row, so that no run crosses a row; its edges alternate between
-    # run starts and run ends (one past the last pixel).
-    h, w = m.shape
-    width = w + 1
-    buf = np.zeros(h * width + 1, dtype=bool)
-    buf[1:].reshape(h, width)[:, :w] = m
-    edges = (buf[1:] != buf[:-1]).nonzero()[0]
+    width = m.shape[1] + 1
+    edges = _run_edges(m)
     starts = edges[0::2]
     ends = edges[1::2]
     # A run [s, e) touches the runs [s', e') of the row above whose columns
@@ -472,6 +480,23 @@ def beta0_number_error(pred: BinaryMask, gt: BinaryMask) -> int:
     return abs(label_components(p, 8).count - label_components(g, 8).count)
 
 
+def _overlap_codes(both: np.ndarray, labels_p: np.ndarray, labels_g: np.ndarray,
+                   n_g: int) -> np.ndarray:
+    """The distinct codes label_p * (n_g + 1) + label_g over the pixels of
+    ``both`` = pred & gt, in increasing order.
+
+    Each run of ``both`` lies inside one run of pred and one of gt, so
+    inside one component of each: its first pixel stands for all of it.
+    """
+    starts = _run_edges(both)[0::2]
+    first = starts - starts // (both.shape[1] + 1)  # flat index in the mask
+    codes = np.sort(labels_p.ravel()[first].astype(np.int64) * (n_g + 1)
+                    + labels_g.ravel()[first])
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def beta0_matching_error(pred: BinaryMask, gt: BinaryMask) -> int:
     """Unmatched components under a maximum one-to-one overlap matching.
 
@@ -487,13 +512,10 @@ def beta0_matching_error(pred: BinaryMask, gt: BinaryMask) -> int:
     n_p, n_g = lab_p.count, lab_g.count
     if n_p == 0 or n_g == 0:
         return n_p + n_g
-    both = p & g
-    codes = np.unique(
-        lab_p.labels[both].astype(np.int64) * (n_g + 1) + lab_g.labels[both]
-    )
+    codes = _overlap_codes(p & g, lab_p.labels, lab_g.labels, n_g)
     adj: list[list[int]] = [[] for _ in range(n_p)]
-    for code in codes:
-        adj[int(code) // (n_g + 1) - 1].append(int(code) % (n_g + 1) - 1)
+    for code in codes.tolist():
+        adj[code // (n_g + 1) - 1].append(code % (n_g + 1) - 1)
 
     # Kuhn's augmenting-path search from each pred component, depth-first
     # with an explicit stack so that long alternating chains cannot reach

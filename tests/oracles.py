@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately share no code with the library paths they check:
-labeling is a naive flood fill, the Euler characteristic is
+labeling is a naive flood fill, the beta0 matching error is scipy's
+maximum bipartite matching over pixel-level overlaps, the Euler characteristic is
 counted from explicit vertex/edge/face sets, and loop counts come from
 the bounded-background duality. The simple-point tables come from a
 search of each neighbourhood ring's pieces, against which the closed form
@@ -59,6 +60,32 @@ def naive_flood_labels(mask, connectivity):
                         stack.append(r)
     framed_labels = np.array(labels, dtype=np.int32).reshape(h + 2, width)
     return framed_labels[1:-1, 1:-1], count
+
+
+def overlap_pairs(pred, gt):
+    """Every (pred label, gt label) pair that shares a pixel, read pixel by pixel."""
+    lab_p, _ = naive_flood_labels(pred, 8)
+    lab_g, _ = naive_flood_labels(gt, 8)
+    both = np.asarray(pred, dtype=bool) & np.asarray(gt, dtype=bool)
+    return set(zip(lab_p[both].tolist(), lab_g[both].tolist()))
+
+
+def beta0_matching_error(pred, gt):
+    """Components left unmatched by scipy's maximum bipartite matching over
+    the pixel-level overlaps of the flood-fill labelings."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    n_p = naive_flood_labels(pred, 8)[1]
+    n_g = naive_flood_labels(gt, 8)[1]
+    pairs = sorted(overlap_pairs(pred, gt))
+    if not pairs:
+        return n_p + n_g
+    rows, cols = zip(*pairs)
+    graph = csr_matrix((np.ones(len(pairs)), (np.array(rows) - 1, np.array(cols) - 1)),
+                       shape=(n_p, n_g))
+    matched = int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+    return n_p + n_g - 2 * matched
 
 
 def brute_cubical_counts(mask):

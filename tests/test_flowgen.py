@@ -126,6 +126,16 @@ def test_weighted_loss_examples():
     assert weighted_flow_loss(v, np.zeros((4, 4)), w11) == 121.0
 
 
+@pytest.mark.parametrize("p", [1, 2, 8, 16])
+def test_broadcast_weights_matches_kron_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    for ht, wt in ((1, 1), (4, 4), (2, 5), (3, 1)):
+        w = TokenWeightMap(weights=1.0 + 10.0 * rng.random((ht, wt)))
+        got = flowgen._broadcast_weights(w, (ht * p, wt * p))
+        want = np.kron(w.weights, np.ones((p, p)))
+        assert _same_bits(got, want) and got.strides == want.strides
+
+
 def test_weighted_loss_zero_iff_equal():
     rng = np.random.default_rng(3)
     w = TokenWeightMap(1.0 + rng.uniform(size=(2, 2)))
@@ -185,7 +195,7 @@ def test_conv_matches_einsum_oracle_bit_for_bit(c, f):
         x = rng.normal(size=(c, h, w))
         weight = rng.normal(size=(f, c, 3, 3))
         bias = rng.normal(size=f)
-        out, win = flowgen._conv3(x, weight, bias)
+        out, cache = flowgen._conv3(x, weight, bias)
         want, want_win = einsum_conv3(x, weight, bias)
         assert _same_bits(out, want) and out.strides == want.strides, (h, w)
         # output gradients as backward forms them: dense, in the layout of a
@@ -194,9 +204,9 @@ def test_conv_matches_einsum_oracle_bit_for_bit(c, f):
         dxp[:, 1:-1, 1:-1] = rng.normal(size=(f, h, w))
         masked = dxp[:, 1:-1, 1:-1] * (out > 0)
         for dout in (rng.normal(size=(f, h, w)), want, masked, -masked):
-            got = flowgen._conv3_backward(weight, win, dout, input_grad=True)
+            got = flowgen._conv3_backward(weight, cache, dout, input_grad=True)
             ref = einsum_conv3_backward(weight, want_win, dout, x.shape)
-            no_input = flowgen._conv3_backward(weight, win, dout, input_grad=False)
+            no_input = flowgen._conv3_backward(weight, cache, dout, input_grad=False)
             assert no_input[2] is None
             assert all(_same_bits(a, b) for a, b in zip(no_input[:2], got[:2]))
             if h * w == 1:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -33,10 +33,12 @@ from tests.oracles import (
     _code_at,
     _stamp_disk,
     _thin_inplace,
+    beta0_matching_error as oracle_matching_error,
     betti_delta_after_removal,
     bounded_background_components,
     brute_cubical_counts,
     naive_flood_labels,
+    overlap_pairs,
     simple_point_tables,
 )
 
@@ -345,6 +347,30 @@ def test_matching_error_long_alternating_chain():
     assert beta0_matching_error(gt, pred) == 0
     gt[5, 3:7] = False  # drop gt component 0: exactly one pred is left over
     assert beta0_matching_error(pred, gt) == 1
+
+
+_mask_pairs = st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
+    lambda shape: st.tuples(hnp.arrays(bool, shape), hnp.arrays(bool, shape)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mask_pairs)
+@example((np.zeros((0, 5), bool), np.zeros((0, 5), bool)))
+@example((np.zeros((3, 0), bool), np.zeros((3, 0), bool)))
+@example((np.ones((1, 1), bool), np.ones((1, 1), bool)))
+@example((np.ones((1, 1), bool), np.zeros((1, 1), bool)))
+@example((np.ones((4, 9), bool), np.ones((4, 9), bool)))
+@example((np.ones((7, 3), bool), np.eye(7, 3, dtype=bool) | np.eye(7, 3, -4, dtype=bool)))
+@example((np.random.default_rng(3).random((12, 5)) < 0.6,
+          np.random.default_rng(4).random((12, 5)) < 0.6))
+def test_matching_error_matches_bipartite_oracle_property(pair):
+    pred, gt = pair
+    assert beta0_matching_error(pred, gt) == oracle_matching_error(pred, gt)
+    lab_p, lab_g = label_components(pred), label_components(gt)
+    codes = topology._overlap_codes(pred & gt, lab_p.labels, lab_g.labels, lab_g.count)
+    assert (np.diff(codes) > 0).all()
+    got = {divmod(code, lab_g.count + 1) for code in codes.tolist()}
+    assert got == overlap_pairs(pred, gt)
 
 
 def test_matching_error_empty_sides():
