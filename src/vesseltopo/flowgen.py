@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, build_config, typed
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, build_config
 from .maskio import (GrayImage, as_gray, as_mask, check_same_shape, threshold,
                      write_atomic)
 from .metrics import MetricReport, aggregate_reports, format_csv, metric_report
@@ -446,12 +446,6 @@ def _checkpoint_from(blob) -> tuple[VelocityModel, TrainConfig]:
         stored = {**blob["config"]}
     except (KeyError, TypeError) as exc:  # missing or not a mapping
         raise InvalidConfig(f"bad config: {exc}") from None
-    # older checkpoints also stored their own output paths; drop them
-    stored.pop("checkpoint_path", None)
-    stored.pop("loss_curve_path", None)
-    # and a weighting switch, whose off state trained with lambda 0
-    if not typed("weighting", stored.pop("weighting", True), bool):
-        stored["lam"] = 0.0
     config = build_config(TrainConfig, stored)
     try:
         params = [

@@ -12,8 +12,9 @@ candidate in turn. Loop insertions and merges go through ``_bridge_edit``,
 which draws bridges in batches, rasterises a batch at once and takes each
 bridge's Euler change from the bit-quads around its new pixels; only a
 bridge whose Euler change can match is recounted, and the first that
-passes is kept, with the rng set back so that the result, the attempts
-used and the random stream equal those of trying one bridge at a time.
+passes is kept, with the rng set back to its state after the kept
+attempt's draws, so that the result, the attempts used and the random
+stream equal those of trying one bridge at a time.
 Dilate-noise keeps a grown pixel when it is a simple point of the grown
 mask, and one recount verifies the returned mask.
 
@@ -120,24 +121,14 @@ def _disk_pixels(shape, cy, cx, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, y0[k] + a, x0[k] + b
 
 
-def _stamp_tube(canvas: np.ndarray, p0, p1, r: float) -> None:
-    """Stamp disks of radius r at ``n = max(2, int(2 |p1 - p0|) + 1)`` evenly
-    spaced positions from p0 to p1."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    d = p1 - p0
-    t = np.linspace(0.0, 1.0, max(2, int(float(np.hypot(*d)) * 2) + 1))
-    _, rows, cols = _disk_pixels(canvas.shape, p0[0] + t * d[0], p0[1] + t * d[1], r)
-    canvas[rows, cols] = True
-
-
 def _tube_pixels(shape, ends, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tubes, rows and columns of the pixels ``_stamp_tube`` stamps for each
-    tube ``ends[i] = (p0, p1)`` of radius r, all in one ``_disk_pixels`` call.
+    """Tubes, rows and columns of the in-canvas pixels of the tubes
+    ``ends[i] = (p0, p1)`` of radius r, all in one ``_disk_pixels`` call.
 
-    A pixel may be listed more than once per tube. The positions are
-    computed for all tubes at once, with t spaced as ``np.linspace(0, 1, n)``
-    spaces it: ``k * (1 / (n - 1))``, and exactly 1 at the end.
+    A tube is the disks of radius r at ``n = max(2, int(2 |p1 - p0|) + 1)``
+    positions ``p0 + t * (p1 - p0)``, with t spaced as ``np.linspace(0, 1, n)``
+    spaces it: ``k * (1 / (n - 1))``, and exactly 1 at the end. A pixel may
+    be listed more than once per tube.
     """
     ends = np.asarray(ends, dtype=np.float64)
     p0 = ends[:, 0]
@@ -252,9 +243,8 @@ def _bridge_edit(partners, radius: float, deltas):
     That change is beta0 change - beta1 change, so only a proposal whose chi
     change matches a pair in ``deltas`` is recounted with ``betti_numbers``,
     and the first that passes, in attempt order, is kept. The rng is then set
-    back to its state at the start of the batch and the batch's draws up to
-    that attempt are replayed, so the attempts used, the rng and the result
-    are those of drawing and recounting one at a time.
+    back to its state after the kept attempt's draws, so the attempts used,
+    the rng and the result are those of drawing and recounting one at a time.
     """
     chi_deltas = [d0 - d1 for d0, d1 in deltas]
 
@@ -265,19 +255,15 @@ def _bridge_edit(partners, radius: float, deltas):
         partners_of = partners(cur, fg)
         n = 0
         while n < budget:
-            start = rng.bit_generator.state
-            bounds = []  # the bound of every draw in the batch, to replay them
-            batch = []  # (attempt, draws up to its end) per proposal
+            batch = []  # (attempt, rng state after its draws) per proposal
             ends = []  # indices into fg of p and q, per proposal
             while n < budget and len(batch) < _BRIDGE_BATCH:
                 n += 1
                 i = rng.integers(len(fg))
                 picks = partners_of(i)
-                bounds.append(len(fg))
                 if len(picks):
                     ends += (i, picks[rng.integers(len(picks))])
-                    bounds.append(len(picks))
-                    batch.append((n, len(bounds)))
+                    batch.append((n, rng.bit_generator.state))
             if not batch:
                 break
             ends = fg[ends].reshape(-1, 2, 2)
@@ -288,10 +274,8 @@ def _bridge_edit(partners, radius: float, deltas):
                 cand[rows[tube == j], cols[tube == j]] = True
                 b = betti_numbers(cand)
                 if (b.beta0 - cur_b.beta0, b.beta1 - cur_b.beta1) in deltas:
-                    attempt, draws = batch[j]
-                    rng.bit_generator.state = start
-                    for bound in bounds[:draws]:
-                        rng.integers(bound)
+                    attempt, state = batch[j]
+                    rng.bit_generator.state = state
                     return (cand, b, tuple(map(tuple, ends[j].tolist()))), attempt
         return None, n
     return edit
@@ -481,12 +465,13 @@ def perturb_disconnect(mask: BinaryMask, k: int,
 
     def widths(cur, y, x, p0, p1, base_rw):
         for rw in (base_rw, base_rw + 1.0):
-            erase = np.zeros_like(cur)
-            _stamp_tube(erase, p0, p1, rw)
+            _, rows, cols = _tube_pixels(cur.shape, [(p0, p1)], rw)
+            cand = cur.copy()
+            cand[rows, cols] = False
             # an accepted cut is the last one yielded at its site, and it
             # erases the site, so no later attempt overwrites its radius
             radius[y, x] = rw
-            yield cur & ~erase, ((y, x),)
+            yield cand, ((y, x),)
 
     def cuts(cur, rng, sites):
         skel = skeletonize(cur)

@@ -392,20 +392,25 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeli
     return ComponentLabeling(labels=labels, count=count, sizes=sizes)
 
 
+def _quad_codes(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Bit-quad codes of the mask padded by one background pixel, each by its
+    window's top-left pixel in the flat padded image, and that image's row
+    length. Flat windows that wrap across rows hold only padding, code 0."""
+    h, w = m.shape
+    width = w + 2
+    padded = np.zeros((h + 2, width), dtype=np.uint8)
+    padded[1:-1, 1:-1] = m
+    flat = padded.ravel()
+    pairs = flat[:-1] + 2 * flat[1:]
+    return pairs[:-width] + 4 * pairs[width:], width
+
+
 def euler_characteristic(mask: BinaryMask) -> int:
     """V - E + F of the closed cubical complex covered by foreground pixels.
 
-    Counted with Gray's (1971) bit-quads over the zero-padded mask.
+    Counted with Gray's (1971) bit-quads, coded by ``_quad_codes``.
     """
-    m = as_mask(mask)
-    h, w = m.shape
-    width = w + 2
-    p = np.zeros((h + 2, width), dtype=np.uint8)
-    p[1:-1, 1:-1] = m
-    # Flat windows that wrap across rows hold only padding and weigh 0.
-    flat = p.ravel()
-    pairs = flat[:-1] + 2 * flat[1:]
-    quads = pairs[:-width] + 4 * pairs[width:]
+    quads, _ = _quad_codes(as_mask(mask))
     return int(np.bincount(quads, minlength=16) @ _QUAD_WEIGHTS) // 4
 
 
@@ -419,14 +424,8 @@ def _euler_deltas(mask: np.ndarray, group: np.ndarray, rows: np.ndarray,
     is summed over those windows alone, weighed before and after as
     ``euler_characteristic`` weighs them.
     """
-    h, w = mask.shape
-    width = w + 2
-    size = (h + 2) * width
-    padded = np.zeros((h + 2, width), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
-    flat = padded.ravel()
-    pairs = flat[:-1] + 2 * flat[1:]
-    code = pairs[:-width] + 4 * pairs[width:]  # by the window's top-left pixel
+    code, width = _quad_codes(mask)
+    size = (mask.shape[0] + 2) * width
     # one padded canvas per group, one after the other
     key = group * size + (rows + 1) * width + cols + 1
     # A pixel sets bits 1, 2, 4 and 8 (top-left, top-right, bottom-left,

@@ -319,8 +319,13 @@ def _with_config(blob, **config):
     lambda valid: {**valid, "widths": [6, 8, 8, 1]},  # hidden-16 parameters
     lambda valid: {**valid, "params": valid["params"][:-1] + [
         {"weight": valid["params"][-1]["weight"], "bias": [float("nan")]}]},
+    # keys that older checkpoints stored
+    lambda valid: _with_config(valid, weighting=False),
+    lambda valid: _with_config(valid, checkpoint_path="/old/ck.json"),
+    lambda valid: _with_config(valid, loss_curve_path=None),
 ], ids=["no-config", "no-params", "list", "hidden-str", "hidden-bool", "steps-0",
-        "weight-1x1", "widths-8", "nan-bias"])
+        "weight-1x1", "widths-8", "nan-bias", "legacy-weighting",
+        "legacy-checkpoint-path", "legacy-loss-curve-path"])
 def test_refine_on_malformed_checkpoint_exits_2(capsys, tmp_path, train_data, edit):
     ck = tmp_path / "ck.json"
     save_checkpoint(VelocityModel(hidden=16, seed=0), TrainConfig(steps=1), ck)

@@ -243,24 +243,6 @@ def test_train_matches_einsum_oracle_conv(monkeypatch, triple):
 
 # ------------------------------ training ---------------------------------- #
 
-def test_lambda_zero_equals_weighting_off(tmp_path):
-    """Older checkpoints stored a ``weighting`` switch beside lambda; off
-    trained with lambda 0, so it loads as lambda 0, and on keeps lambda."""
-    ck = tmp_path / "ck.json"
-    save_checkpoint(VelocityModel(hidden=4, seed=0),
-                    TrainConfig(steps=1, hidden=4, lam=3.0), ck)
-    blob = json.loads(ck.read_text())
-    assert "weighting" not in blob["config"]
-    for weighting, lam in [(False, 0.0), (True, 3.0)]:
-        blob["config"]["weighting"] = weighting
-        ck.write_text(json.dumps(blob))
-        assert load_checkpoint(ck)[1] == TrainConfig(steps=1, hidden=4, lam=lam)
-    blob["config"]["weighting"] = "false"
-    ck.write_text(json.dumps(blob))
-    with pytest.raises(InvalidConfig, match="weighting"):
-        load_checkpoint(ck)
-
-
 def test_one_step_run_smoke(triple):
     result = train(TrainConfig(steps=1, batch_size=1, seed=0, hidden=4), [triple])
     assert len(result.losses) == 1
@@ -368,17 +350,18 @@ def test_checkpoint_unknown_config_key(tmp_path, triple):
         load_checkpoint(path)
 
 
-def test_checkpoint_with_legacy_output_paths_loads(tmp_path, triple):
-    result = train(TrainConfig(steps=2, batch_size=1, seed=4, hidden=4), [triple])
+@pytest.mark.parametrize("key, value", [("weighting", False),
+                                        ("checkpoint_path", "/old/ck.json"),
+                                        ("loss_curve_path", None)])
+def test_checkpoint_with_legacy_key_is_rejected(tmp_path, key, value):
+    """Keys that older checkpoints stored are unknown fields like any other."""
     path = tmp_path / "ck.json"
-    save_checkpoint(result.model, result.config, path)
+    save_checkpoint(VelocityModel(hidden=4, seed=0), TrainConfig(steps=1, hidden=4), path)
     blob = json.loads(path.read_text())
-    blob["config"].update(checkpoint_path="/old/ck.json", loss_curve_path=None)
+    blob["config"][key] = value
     path.write_text(json.dumps(blob))
-    loaded, config = load_checkpoint(path)
-    assert config == result.config
-    assert all(np.array_equal(a, b) for la, lb in zip(loaded.params, result.model.params)
-               for a, b in zip(la, lb))
+    with pytest.raises(InvalidConfig, match=f"TrainConfig has no field {key}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_version_guard(tmp_path):

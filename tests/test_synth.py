@@ -14,7 +14,6 @@ from vesseltopo.synth import (
     VesselParams,
     _disk_pixels,
     _local_halfwidth,
-    _stamp_tube,
     _tube_pixels,
     emit_samples,
     generate_vessel,
@@ -141,19 +140,6 @@ def test_disk_pixels_matches_reference_disks():
     assert rows.size == 0 and cols.size == 0
 
 
-def test_stamp_tube_matches_reference_tube():
-    rng = np.random.default_rng(1)
-    for shape in [(1, 30), (30, 1), (24, 24), (40, 17)]:
-        h, w = shape
-        for _ in range(25):
-            cy, cx, r = _random_disks(rng, h, w, 2)
-            got = np.zeros(shape, dtype=bool)
-            ref = np.zeros(shape, dtype=bool)
-            _stamp_tube(got, (cy[0], cx[0]), (cy[1], cx[1]), r[0])
-            stamp_tube(ref, (cy[0], cx[0]), (cy[1], cx[1]), r[0])
-            assert np.array_equal(got, ref), (shape, cy, cx, r)
-
-
 def _reference_tube(shape, p0, p1, r):
     ref = np.zeros(shape, dtype=bool)
     stamp_tube(ref, p0, p1, r)
@@ -185,6 +171,21 @@ def test_tube_pixels_match_reference_tubes():
         assert np.array_equal(got, _reference_tube((h, w), p0, p1, 1.7)), (p0, p1)
 
 
+def test_stamp_tube_matches_reference_tube():
+    # one tube through _tube_pixels on thin and small canvases, ends from
+    # 8 px outside them to 8 px beyond
+    rng = np.random.default_rng(1)
+    for shape in [(1, 30), (30, 1), (24, 24), (40, 17)]:
+        for _ in range(25):
+            cy, cx, r = _random_disks(rng, *shape, 2)
+            p0, p1 = (cy[0], cx[0]), (cy[1], cx[1])
+            _, rows, cols = _tube_pixels(shape, [(p0, p1)], r[0])
+            got = np.zeros(shape, dtype=bool)
+            got[rows, cols] = True
+            assert np.array_equal(got, _reference_tube(shape, p0, p1, r[0])), \
+                (shape, p0, p1, r[0])
+
+
 def test_tube_pixels_take_the_disk_centres_of_stamp_tube(monkeypatch):
     # a centre one ulp off moves a pixel only where it lies exactly on a
     # rim, so the centres themselves are compared, bit for bit
@@ -200,11 +201,15 @@ def test_tube_pixels_take_the_disk_centres_of_stamp_tube(monkeypatch):
     ends = np.concatenate([rng.integers(0, 40, (40, 2, 2)).astype(float),
                            rng.uniform(0.0, 40.0, (40, 2, 2))])
     _tube_pixels((40, 40), ends, 1.0)
-    batched = centres.pop()
+    (cy, cx), = centres
+    # the centres oracles.stamp_tube stamps, one tube at a time
+    ref = []
     for p0, p1 in ends:
-        _stamp_tube(np.zeros((40, 40), dtype=bool), p0, p1, 1.0)
-    assert np.array_equal(batched[0], np.concatenate([cy for cy, _ in centres]))
-    assert np.array_equal(batched[1], np.concatenate([cx for _, cx in centres]))
+        n = max(2, int(np.hypot(*(p1 - p0)) * 2) + 1)
+        ref.append(p0 + np.linspace(0, 1, n)[:, None] * (p1 - p0))
+    ref = np.concatenate(ref)
+    assert np.array_equal(cy, ref[:, 0])
+    assert np.array_equal(cx, ref[:, 1])
 
 
 _coords = st.integers(-4, 17)
