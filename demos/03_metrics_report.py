@@ -5,7 +5,7 @@ only to connectivity: a dilated mask keeps beta0_num at 0, a single cut
 drives it to 1 even though Dice barely moves.
 """
 
-from vesseltopo import metric_report
+from vesseltopo import aggregate_reports, metric_report
 from vesseltopo.metrics import format_csv
 from vesseltopo.synth import (
     VesselParams,
@@ -24,7 +24,7 @@ candidates = {
 }
 
 rows = [(name, metric_report(mask, gt)) for name, mask in candidates.items()]
-print(format_csv(rows, mean_row=True))
+print(format_csv(rows + [("mean", aggregate_reports([r for _, r in rows]))]))
 
 r_dilated = dict(rows)["dilated"]
 r_cut = dict(rows)["one_cut"]

@@ -25,7 +25,7 @@ from dataclasses import fields
 
 from .errors import FormatError, NonFiniteLoss, VesselTopoError, build_config
 from .maskio import load_image, load_mask, write_atomic
-from .metrics import format_csv, metric_report
+from .metrics import aggregate_reports, format_csv, metric_report
 from .topology import betti_numbers
 
 # The stage names this module serves; each subcommand imports its own when it runs.
@@ -133,7 +133,8 @@ def cmd_metrics(args) -> None:
         pred = load_mask(os.path.join(args.pred, name))
         gt = load_mask(os.path.join(args.gt, name))
         rows.append((name, metric_report(pred, gt)))
-    _write_text(args.out, format_csv(rows, mean_row=True))
+    rows.append(("mean", aggregate_reports([r for _, r in rows])))
+    _write_text(args.out, format_csv(rows))
 
 
 def cmd_synth(args) -> None:

@@ -130,7 +130,7 @@ def _loss_and_dv(v_pred: np.ndarray, v_target: np.ndarray,
 def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """Same-padded 3x3 convolution as one BLAS product on im2col rows.
 
-    Returns the output and the padded input, which ``_conv3_backward``
+    Returns the output and the padded input, which ``_conv3_param_grads``
     reads. The products here and in the backward pass use the operand
     layouts numpy's einsum picks for the same contractions, so every bit
     matches the einsum form (on a 1x1 canvas, up to the sign of a zero
@@ -156,28 +156,33 @@ def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     return out + bias[:, None, None], xp
 
 
-def _conv3_backward(weight: np.ndarray, xp: np.ndarray, dout: np.ndarray,
-                    input_grad: bool):
-    """Gradients wrt weight, bias and, unless ``input_grad`` is off, input.
+def _conv3_param_grads(weight: np.ndarray, xp: np.ndarray, dout: np.ndarray):
+    """Gradients wrt weight and bias.
 
     ``xp`` is the padded input that ``_conv3`` returns. ``cols`` is filled
     by nine slice copies of it, as ``rows`` is; it is a layout of its own
-    because the transposed ``rows`` rounds differently. With one output
-    channel each input-gradient tap is a product of one weight and one
+    because the transposed ``rows`` rounds differently.
+    """
+    f, c = weight.shape[:2]
+    h, w = dout.shape[1:]
+    cols = np.empty((c, 3, 3, h, w))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, i:i + h, j:j + w]
+    d_weight = (cols.reshape(c * 9, h * w) @ dout.reshape(f, h * w).T).T
+    return d_weight.reshape(weight.shape), dout.sum(axis=(1, 2))
+
+
+def _conv3_input_grad(weight: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """Gradient wrt the input of ``_conv3``.
+
+    With one output channel each tap is a product of one weight and one
     output gradient, so plain multiplies into one reused buffer give the
     bits of the matrix product.
     """
     f, c = weight.shape[:2]
     h, w = dout.shape[1:]
     d2 = dout.reshape(f, h * w)
-    cols = np.empty((c, 3, 3, h, w))
-    for i in range(3):
-        for j in range(3):
-            cols[:, i, j] = xp[:, i:i + h, j:j + w]
-    d_weight = (cols.reshape(c * 9, h * w) @ d2.T).T.reshape(weight.shape)
-    d_bias = dout.sum(axis=(1, 2))
-    if not input_grad:
-        return d_weight, d_bias, None
     dxp = np.zeros((c, h + 2, w + 2))
     if f == 1:
         tap = np.empty((c, h, w))
@@ -188,7 +193,7 @@ def _conv3_backward(weight: np.ndarray, xp: np.ndarray, dout: np.ndarray,
             else:
                 tap = (weight[:, :, i, j].T @ d2).reshape(c, h, w)
             dxp[:, i:i + h, j:j + w] += tap
-    return d_weight, d_bias, dxp[:, 1:-1, 1:-1]
+    return dxp[:, 1:-1, 1:-1]
 
 
 class VelocityModel:
@@ -244,11 +249,10 @@ class VelocityModel:
         for li in range(last, -1, -1):
             xp, pre = caches[li]
             dpre = da if li == last else da * (pre > 0)
+            grads[li] = list(_conv3_param_grads(self.params[li][0], xp, dpre))
             # layer 0's input is the data, whose gradient nothing reads
-            d_weight, d_bias, da = _conv3_backward(
-                self.params[li][0], xp, dpre, input_grad=li > 0
-            )
-            grads[li] = [d_weight, d_bias]
+            if li > 0:
+                da = _conv3_input_grad(self.params[li][0], dpre)
         return grads
 
 
@@ -498,25 +502,19 @@ def refine_eval(model: VelocityModel, triples: Sequence, steps: int = 16,
     constraint planes are derived from each gt, mirroring the counts a
     refinement prompt states.
     """
-    input_reports: list[MetricReport] = []
-    refined_reports: list[MetricReport] = []
-    rows = []
+    rows = []  # input and refined report of each triple, in turn
     for i, (image, imperfect, gt) in enumerate(triples):
         gt_mask = as_mask(gt)
         summary = betti_numbers(gt_mask)
         refined_img = sample(model, image, imperfect, steps, seed + i,
                              summary.beta0, summary.beta1)
         refined_mask = threshold(refined_img, 0.5)
-        rep_in = metric_report(as_mask(imperfect), gt_mask)
-        rep_out = metric_report(refined_mask, gt_mask)
-        input_reports.append(rep_in)
-        refined_reports.append(rep_out)
-        rows.append((f"input_{i:04d}", rep_in))
-        rows.append((f"refined_{i:04d}", rep_out))
-    agg_in = aggregate_reports(input_reports)
-    agg_out = aggregate_reports(refined_reports)
+        rows.append((f"input_{i:04d}", metric_report(as_mask(imperfect), gt_mask)))
+        rows.append((f"refined_{i:04d}", metric_report(refined_mask, gt_mask)))
+    agg_in = aggregate_reports([r for _, r in rows[0::2]])
+    agg_out = aggregate_reports([r for _, r in rows[1::2]])
     if csv_path:
         rows.append(("input_mean", agg_in))
         rows.append(("refined_mean", agg_out))
-        write_atomic(csv_path, format_csv(rows, mean_row=False).encode("utf-8"))
+        write_atomic(csv_path, format_csv(rows).encode("utf-8"))
     return agg_in, agg_out

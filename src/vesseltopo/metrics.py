@@ -93,25 +93,15 @@ def _format_count(value: float) -> str:
     return f"{value:.2f}"
 
 
-def format_csv(named_reports: Iterable[tuple[str, MetricReport]],
-               mean_row: bool) -> str:
-    """Render reports as CSV with ratios shown as percentages (2 decimals).
-
-    Aggregation is the unweighted per-image mean, appended as a ``mean`` row
-    when ``mean_row`` is set.
-    """
-    rows = list(named_reports)
+def format_csv(named_reports: Iterable[tuple[str, MetricReport]]) -> str:
+    """One CSV row per named report, in order: ratios as percentages with 2
+    decimals, counts whole when whole and with 2 decimals otherwise. A mean
+    row is one more named report, from ``aggregate_reports``."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for name, r in rows:
+    for name, r in named_reports:
         out.write(
             f"{name},{100.0 * r.dice:.2f},{100.0 * r.cl_dice:.2f},"
             f"{_format_count(r.beta0_num)},{_format_count(r.beta0_mat)}\n"
-        )
-    if mean_row and rows:
-        mean = aggregate_reports([r for _, r in rows])
-        out.write(
-            f"mean,{100.0 * mean.dice:.2f},{100.0 * mean.cl_dice:.2f},"
-            f"{mean.beta0_num:.2f},{mean.beta0_mat:.2f}\n"
         )
     return out.getvalue()

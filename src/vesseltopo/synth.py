@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import InsufficientStructure, InvalidParams
 from .maskio import BinaryMask, GrayImage, as_mask, save_image, save_mask, write_atomic
-from .topology import (_OFFS8, SIMPLE_LUT, TopologySummary, _euler_deltas, betti_numbers,
-                       label_components, skeletonize)
+from .topology import (_OFFS8, SIMPLE_LUT, TopologySummary, _euler_deltas,
+                       _neighbour_codes, betti_numbers, label_components, skeletonize)
 
 _MAX_SCENE_ATTEMPTS = 100
 _MAX_SITE_ATTEMPTS = 1000
@@ -189,14 +189,13 @@ def _place_roots(rng: np.random.Generator, params: VesselParams) -> list:
     min_sep = min(h, w) / (params.n_trees + 1)
     roots: list[np.ndarray] = []
     for _ in range(params.n_trees):
-        best = None
+        # the first candidate far enough from every root, or else the last
         for _ in range(200):
             cand = np.array([rng.uniform(margin, h - margin),
                              rng.uniform(margin, w - margin)])
             if all(np.hypot(*(cand - r)) >= min_sep for r in roots):
-                best = cand
                 break
-        roots.append(best if best is not None else cand)
+        roots.append(cand)
     return roots
 
 
@@ -370,18 +369,6 @@ def generate_vessel(params: VesselParams) -> tuple[GrayImage, BinaryMask, Topolo
     )
 
 
-def _neighbor_count(mask: np.ndarray) -> np.ndarray:
-    padded = np.pad(mask, 1).astype(np.int8)
-    out = np.zeros(mask.shape, dtype=np.int8)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            out += padded[1 + dy:mask.shape[0] + 1 + dy,
-                          1 + dx:mask.shape[1] + 1 + dx]
-    return out
-
-
 # Squared distance of every pixel of a (2 * cap + 1)^2 window from its
 # centre, for the largest half-width _local_halfwidth reports.
 _HALFWIDTH_CAP = 6
@@ -403,19 +390,16 @@ def _local_halfwidth(mask: np.ndarray, y: int, x: int) -> int:
     return sum(r * r < nearest for r in range(1, cap + 1))
 
 
-def _skeleton_tangent(skel: np.ndarray, y: int, x: int,
-                      rng: np.random.Generator) -> tuple[float, float]:
-    neigh = [(dy, dx)
-             for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-             if (dy or dx)
-             and 0 <= y + dy < skel.shape[0] and 0 <= x + dx < skel.shape[1]
-             and skel[y + dy, x + dx]]
-    if len(neigh) >= 2:
-        (ay, ax), (by, bx) = neigh[0], neigh[-1]
+def _skeleton_tangent(code: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Unit direction from the first to the last neighbour in a neighbourhood
+    code, whose bits follow ``_OFFS8`` in row-major order: its lowest and its
+    highest set bit. With fewer than two neighbours it is drawn from rng."""
+    if code & (code - 1):  # two or more neighbours
+        ay, ax = _OFFS8[(code & -code).bit_length() - 1]
+        by, bx = _OFFS8[code.bit_length() - 1]
         ty, tx = by - ay, bx - ax
         norm = math.hypot(ty, tx)
-        if norm > 0:
-            return ty / norm, tx / norm
+        return ty / norm, tx / norm
     angle = rng.uniform(0.0, 2.0 * math.pi)
     return math.sin(angle), math.cos(angle)
 
@@ -475,7 +459,9 @@ def perturb_disconnect(mask: BinaryMask, k: int,
 
     def cuts(cur, rng, sites):
         skel = skeletonize(cur)
-        interior = np.argwhere(skel & (_neighbor_count(skel) >= 2))
+        codes = _neighbour_codes(skel)
+        # skeleton pixels with two or more skeleton neighbours
+        interior = np.argwhere(skel & ((codes & (codes - 1)) != 0))
         order = rng.permutation(len(interior))
         # second round relaxes the site-separation pre-filter down to plain
         # non-adjacency; the Betti verification still guards every cut
@@ -490,7 +476,7 @@ def perturb_disconnect(mask: BinaryMask, k: int,
                        for sy, sx in sites):
                     continue
                 half = int(rng.integers(2, 6)) / 2.0
-                ty, tx = _skeleton_tangent(skel, y, x, rng)
+                ty, tx = _skeleton_tangent(int(codes[y, x]), rng)
                 yield widths(cur, y, x, (y - ty * half, x - tx * half),
                              (y + ty * half, x + tx * half), base_rw)
 
@@ -519,7 +505,7 @@ def perturb_holes(mask: BinaryMask, k: int,
                   seed: int) -> tuple[BinaryMask, PerturbationLog]:
     """Punch k single-pixel holes in thick regions, each adding one loop."""
     m = as_mask(mask)
-    interior = np.argwhere(m & (_neighbor_count(m) == 8))
+    interior = np.argwhere(m & (_neighbour_codes(m) == 255))
     if k and len(interior) == 0:
         raise InsufficientStructure("mask has no interior pixels to puncture")
     # the site order is the only draw, so it is the first of the seed's stream
@@ -552,7 +538,7 @@ def perturb_dilate_noise(mask: BinaryMask, seed: int) -> tuple[BinaryMask, Pertu
     m = as_mask(mask).copy()
     rng = np.random.default_rng(seed)
     base = betti_numbers(m)
-    candidates = np.argwhere((_neighbor_count(m) > 0) & ~m)
+    candidates = np.argwhere((_neighbour_codes(m) > 0) & ~m)
     if len(candidates) == 0:
         return m, PerturbationLog("dilate-noise", (), 0, 0)
     # each background pixel next to the mask is proposed with probability 0.35

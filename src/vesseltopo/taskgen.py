@@ -184,16 +184,14 @@ def topology_choice_score(mask: BinaryMask, gt: BinaryMask) -> int:
 @dataclass(frozen=True)
 class TaskRecord:
     task_kind: str
-    image_paths: tuple[str, ...]
+    images: tuple[str, ...]
     prompt: str
     answer: str
     target: str | None
     provenance: dict
 
     def to_json(self) -> str:
-        record = asdict(self)
-        record["images"] = record.pop("image_paths")
-        return json.dumps(record, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _masks(image: GrayImage, *masks: BinaryMask) -> list[BinaryMask]:
@@ -259,7 +257,7 @@ def _states_counts(prompt: str, ref: TopologySummary) -> bool:
 
 
 def _record(kind: str, pool: str, rng: np.random.Generator,
-            image_paths: tuple[str, ...], answer: str, target: str | None,
+            images: tuple[str, ...], answer: str, target: str | None,
             provenance: dict, **fill: str) -> TaskRecord:
     """The one constructor of a task record.
 
@@ -271,7 +269,7 @@ def _record(kind: str, pool: str, rng: np.random.Generator,
     prompt = TEMPLATES[pool][idx].format(modality=MODALITY_TAG,
                                          def_component=DEF_COMPONENT,
                                          def_loop=DEF_LOOP, **fill)
-    return TaskRecord(kind, image_paths, prompt, answer, target,
+    return TaskRecord(kind, images, prompt, answer, target,
                       {**provenance, "template": [pool, idx]})
 
 
@@ -413,10 +411,6 @@ def _perturb_any(gt: BinaryMask, k: int, seed: int) -> BinaryMask:
                          gt, k, seed)[0]
 
 
-def _spawned_ints(ss: np.random.SeedSequence, n: int) -> list[int]:
-    return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
-
-
 def build_dataset(config: DatasetConfig) -> str:
     """Generate scenes, emit PGM files and a JSONL manifest; return its path.
 
@@ -455,7 +449,7 @@ def _build_record(cfg: DatasetConfig, kind: str, split: str, i: int,
 
     for _ in range(30):
         attempt_ss = branch_ss.spawn(1)[0]
-        seeds = _spawned_ints(attempt_ss, 8)
+        seeds = [int(s.generate_state(1)[0]) for s in attempt_ss.spawn(8)]
         rng = np.random.default_rng(seeds[0])
         extra = {}  # masks saved beside the image and the gt
         try:

@@ -204,15 +204,20 @@ def _label_runs(lo: np.ndarray, n_upper: np.ndarray, multi: np.ndarray, run: np.
     return top, hooked, n_extra
 
 
-def _code_image(f: np.ndarray, width: int) -> np.ndarray:
-    """Neighbourhood code of every pixel of a flat frame, in one vector pass.
+def _code_image(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask in a two-pixel background frame, flat, and the neighbourhood
+    code of every pixel of that frame, in one vector pass.
 
-    ``f`` is the flat mask with a two-pixel background frame and row length
-    ``width``. Bit i of ``c[q]`` is set when neighbour ``_OFFS8[i]`` of q is
-    foreground, for every q whose 8 neighbours lie in the frame: the mask
-    and the inner ring of the frame. Rows wrap in the flat layout, but a
-    neighbour across the wrap lies in the frame's two background columns.
+    The frame's rows are ``m.shape[1] + 4`` long. Bit i of ``c[q]`` is set
+    when neighbour ``_OFFS8[i]`` of q is foreground, for every q whose 8
+    neighbours lie in the frame: the mask and the inner ring of the frame.
+    Rows wrap in the flat layout, but a neighbour across the wrap lies in
+    the frame's two background columns.
     """
+    h, w = m.shape
+    width = w + 4
+    f = np.zeros((h + 4) * width, dtype=bool)
+    f.reshape(h + 4, width)[2:-2, 2:-2] = m
     # Bits are placed by multiplying 0/1 bytes, which numpy vectorises;
     # its uint8 left shift runs about ten times slower.
     b = f.view(np.uint8)
@@ -222,7 +227,13 @@ def _code_image(f: np.ndarray, width: int) -> np.ndarray:
     lo, hi = width + 1, b.size - width - 1
     c[lo:hi] = (r[lo - width - 1:hi - width - 1] | b[lo - 1:hi - 1] * 8
                 | b[lo + 1:hi + 1] * 16 | r[lo + width - 1:hi + width - 1] * 32)
-    return c
+    return f, c
+
+
+def _neighbour_codes(m: np.ndarray) -> np.ndarray:
+    """``_code_image`` at the mask's own pixels: off-canvas neighbours are 0 bits."""
+    h, w = m.shape
+    return _code_image(m)[1].reshape(h + 4, w + 4)[2:-2, 2:-2]
 
 
 def _build_pass_tables(status: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
@@ -343,10 +354,7 @@ def _thin(m: np.ndarray) -> np.ndarray:
     # later pass would delete nothing too.
     h, w = m.shape
     width = w + 4
-    framed = np.zeros((h + 4, width), dtype=bool)
-    framed[2:-2, 2:-2] = m
-    f = framed.ravel()
-    codes = _code_image(f, width)
+    f, codes = _code_image(m)
     offsets = np.array([dy * width + dx for dy, dx in _OFFS8])
     fg = np.flatnonzero(f)
     quiet = 0
@@ -358,10 +366,10 @@ def _thin(m: np.ndarray) -> np.ndarray:
             quiet += 1
             if quiet == 4:
                 break
-    return framed[2:-2, 2:-2].copy()
+    return f.reshape(h + 4, width)[2:-2, 2:-2].copy()
 
 
-def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabeling:
+def label_components(mask: BinaryMask, connectivity: int) -> ComponentLabeling:
     """Label connected components under 4- or 8-adjacency.
 
     Horizontal runs form a forest, each hanging under the first run it

@@ -15,7 +15,8 @@ draws, stamps and recounts one bridge at a time, as the batched
 edit recounts after every proposed pixel, as the simple-point test of
 ``synth.perturb_dilate_noise`` must reproduce exactly, and the reference 3x3
 convolution is the einsum form whose bits the matrix products of
-``flowgen._conv3`` and ``flowgen._conv3_backward`` must reproduce.
+``flowgen._conv3``, ``flowgen._conv3_param_grads`` and
+``flowgen._conv3_input_grad`` must reproduce.
 """
 
 import math
@@ -367,6 +368,25 @@ def local_halfwidth(mask, y, x, cap=6):
     return best
 
 
+def skeleton_tangent(skel, y, x, rng):
+    """Unit direction from the first to the last skeleton neighbour of (y, x)
+    in a row-major scan of its in-canvas neighbours; drawn from rng with
+    fewer than two."""
+    neigh = [(dy, dx)
+             for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+             if (dy or dx)
+             and 0 <= y + dy < skel.shape[0] and 0 <= x + dx < skel.shape[1]
+             and skel[y + dy, x + dx]]
+    if len(neigh) >= 2:
+        (ay, ax), (by, bx) = neigh[0], neigh[-1]
+        ty, tx = by - ay, bx - ax
+        norm = math.hypot(ty, tx)
+        if norm > 0:
+            return ty / norm, tx / norm
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    return math.sin(angle), math.cos(angle)
+
+
 def einsum_conv3(x, weight, bias):
     """Same-padded 3x3 convolution; returns output and the window view."""
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
@@ -375,15 +395,19 @@ def einsum_conv3(x, weight, bias):
     return out + bias[:, None, None], win
 
 
-def einsum_conv3_backward(weight, win, dout, in_shape):
-    """Weight, bias and input gradients of ``einsum_conv3``."""
-    d_weight = np.einsum("fhw,chwij->fcij", dout, win, optimize=True)
-    d_bias = dout.sum(axis=(1, 2))
-    c, h, w = in_shape
+def einsum_conv3_param_grads(win, dout):
+    """Weight and bias gradients of ``einsum_conv3``."""
+    return np.einsum("fhw,chwij->fcij", dout, win, optimize=True), dout.sum(axis=(1, 2))
+
+
+def einsum_conv3_input_grad(weight, dout):
+    """Input gradient of ``einsum_conv3``."""
+    c = weight.shape[1]
+    h, w = dout.shape[1:]
     dxp = np.zeros((c, h + 2, w + 2))
     for i in range(3):
         for j in range(3):
             dxp[:, i:i + h, j:j + w] += np.einsum(
                 "fc,fhw->chw", weight[:, :, i, j], dout, optimize=True
             )
-    return d_weight, d_bias, dxp[:, 1:-1, 1:-1]
+    return dxp[:, 1:-1, 1:-1]

@@ -98,7 +98,24 @@ def test_metrics_pred_equals_gt(capsys, tmp_path):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sample,dice,cldice,beta0_num,beta0_mat"
     assert out[1] == "s.pgm,100.00,100.00,0,0"
-    assert out[2] == "mean,100.00,100.00,0.00,0.00"
+    assert out[2] == "mean,100.00,100.00,0,0"
+
+
+@pytest.mark.parametrize("cuts, mean", [((0, 1), "0.50"), ((0, 1, 2), "1")])
+def test_metrics_mean_row_prints_counts_as_any_row_does(capsys, tmp_path, cuts, mean):
+    _, mask, _ = generate_vessel(VesselParams(width=64, height=64,
+                                              radius_root=2.0, seed=8))
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+    for k in cuts:  # k verified cuts: both beta0 errors are k
+        save_mask(perturb_disconnect(mask, k, seed=1)[0], tmp_path / "pred" / f"s{k}.pgm")
+        save_mask(mask, tmp_path / "gt" / f"s{k}.pgm")
+    assert main(["metrics", "--pred", str(tmp_path / "pred"),
+                 "--gt", str(tmp_path / "gt")]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [f"s{k}.pgm" for k in cuts] + ["mean"]
+    want = [str(k) for k in cuts] + [mean]
+    assert [row[3] for row in rows] == [row[4] for row in rows] == want
 
 
 def test_metrics_detects_disconnection(capsys, tmp_path):
@@ -391,9 +408,11 @@ def test_parser_is_built_once_and_keeps_no_flag_between_calls(capsys, monkeypatc
 
 
 def test_nonfinite_loss_in_train_exits_3(capsys, tmp_path, train_data):
-    assert main(["train", "--data", str(train_data), "--checkpoint",
-                 str(tmp_path / "ck.json"), "--lr", "1e150", "--steps", "60",
-                 "--batch", "1", "--hidden", "4"]) == 3
+    # the loss overflows to inf and then NaN, which numpy warns about
+    with pytest.warns(RuntimeWarning):
+        assert main(["train", "--data", str(train_data), "--checkpoint",
+                     str(tmp_path / "ck.json"), "--lr", "1e150", "--steps", "60",
+                     "--batch", "1", "--hidden", "4"]) == 3
     assert "internal error" in capsys.readouterr().err
 
 

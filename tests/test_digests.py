@@ -41,7 +41,7 @@ _SHA256 = {
     "ds/00004_gt.pgm": "60f23e85f35c6563ba8e9b8ac3438bfd4c75ef94650ff8f442be7968e9937f56",
     "ds/00004_img.pgm": "f1d77fbe9e4033c83a130816aa924e4bca06c55fe6dee3300616d40d0bc5cd61",
     "ds/manifest.jsonl": "afdb8062b4a00bc26d5d420ea72c02f1838cd1288c8a768333dc90d15233881e",
-    "metrics.csv": "3e18e53cdcf91813fb237396093eaaaaf5158ecc85a1472fc4fa940494b447b8",
+    "metrics.csv": "14c6ee0a63fd5267e8168fd5007ef07937bbd9dd7a982f8ebe6f999618434507",
     "refine.csv": "88ee14b3529cc63fb4ce85734f83c2085df98729017ff42305a682caf6bf7165",
 }
 

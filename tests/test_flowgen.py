@@ -25,7 +25,7 @@ from vesseltopo.flowgen import (
 )
 from vesseltopo.synth import VesselParams, generate_vessel, perturb_disconnect
 
-from tests.oracles import einsum_conv3, einsum_conv3_backward
+from tests.oracles import einsum_conv3, einsum_conv3_input_grad, einsum_conv3_param_grads
 
 
 @pytest.fixture(scope="module")
@@ -204,11 +204,10 @@ def test_conv_matches_einsum_oracle_bit_for_bit(c, f):
         dxp[:, 1:-1, 1:-1] = rng.normal(size=(f, h, w))
         masked = dxp[:, 1:-1, 1:-1] * (out > 0)
         for dout in (rng.normal(size=(f, h, w)), want, masked, -masked):
-            got = flowgen._conv3_backward(weight, cache, dout, input_grad=True)
-            ref = einsum_conv3_backward(weight, want_win, dout, x.shape)
-            no_input = flowgen._conv3_backward(weight, cache, dout, input_grad=False)
-            assert no_input[2] is None
-            assert all(_same_bits(a, b) for a, b in zip(no_input[:2], got[:2]))
+            got = (*flowgen._conv3_param_grads(weight, cache, dout),
+                   flowgen._conv3_input_grad(weight, dout))
+            ref = (*einsum_conv3_param_grads(want_win, dout),
+                   einsum_conv3_input_grad(weight, dout))
             if h * w == 1:
                 # einsum turns a one-term weight-gradient sum into a plain
                 # product, which keeps the -0.0 that a matrix product's sum
@@ -228,12 +227,12 @@ def test_train_matches_einsum_oracle_conv(monkeypatch, triple):
     config = TrainConfig(steps=20, batch_size=2, seed=4)
     got = train(config, quarters)
 
-    def backward(weight, win, dout, input_grad=True):
-        return einsum_conv3_backward(weight, win, dout,
-                                     (weight.shape[1], *dout.shape[1:]))
+    def param_grads(weight, win, dout):
+        return einsum_conv3_param_grads(win, dout)
 
     monkeypatch.setattr(flowgen, "_conv3", einsum_conv3)
-    monkeypatch.setattr(flowgen, "_conv3_backward", backward)
+    monkeypatch.setattr(flowgen, "_conv3_param_grads", param_grads)
+    monkeypatch.setattr(flowgen, "_conv3_input_grad", einsum_conv3_input_grad)
     want = train(config, quarters)
     assert got.losses == want.losses
     for got_layer, want_layer in zip(got.model.params, want.model.params):
@@ -255,7 +254,8 @@ def test_training_reduces_loss(triple):
 
 
 def test_nonfinite_loss_aborts(triple):
-    with pytest.raises(NonFiniteLoss):
+    # the loss overflows to inf and then NaN, which numpy warns about
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss):
         train(TrainConfig(steps=60, batch_size=1, seed=0, hidden=4,
                           learning_rate=1e150), [triple])
 
@@ -323,6 +323,21 @@ def test_refine_eval_perfect_refinement_scores_clean(monkeypatch, triple):
     assert (agg_out.dice, agg_out.cl_dice) == (1.0, 1.0)
     assert (agg_out.beta0_num, agg_out.beta0_mat) == (0.0, 0.0)
     assert agg_in.beta0_num == 1.0  # the imperfect input has one cut
+
+
+def test_refine_eval_csv_means_print_counts_as_any_row_does(monkeypatch, tmp_path,
+                                                           triple):
+    img, bad, gt = triple
+    monkeypatch.setattr(flowgen, "sample",
+                        lambda *args, **kwargs: gt.astype(np.float64))
+    csv_path = tmp_path / "refine.csv"
+    # inputs with one cut each, then one with a cut and one without
+    for inputs, mean in (((bad, bad), "1"), ((bad, gt), "0.50")):
+        refine_eval(VelocityModel(hidden=4, seed=0), [(img, m, gt) for m in inputs],
+                    steps=1, csv_path=str(csv_path))
+        rows = dict(line.split(",", 1) for line in csv_path.read_text().splitlines())
+        assert rows["input_mean"].split(",")[2:] == [mean, mean]
+        assert rows["refined_mean"].split(",")[2:] == ["0", "0"]
 
 
 # ------------------------------ checkpoints -------------------------------- #

@@ -147,9 +147,15 @@ def test_aggregate_examples():
 def test_csv_format():
     rows = [("s0", MetricReport(1.0, 1.0, 0.0, 0.0)),
             ("s1", MetricReport(0.5, 0.25, 2.0, 3.0))]
-    text = format_csv(rows, mean_row=True)
-    lines = text.splitlines()
-    assert lines[0] == "sample,dice,cldice,beta0_num,beta0_mat"
-    assert lines[1] == "s0,100.00,100.00,0,0"
-    assert lines[2] == "s1,50.00,25.00,2,3"
-    assert lines[3] == "mean,75.00,62.50,1.00,1.50"
+    # one row per report and no mean row of its own
+    assert format_csv(rows).splitlines() == ["sample,dice,cldice,beta0_num,beta0_mat",
+                                             "s0,100.00,100.00,0,0",
+                                             "s1,50.00,25.00,2,3"]
+
+
+def test_csv_mean_row_prints_counts_as_any_row_does():
+    rows = [("s0", MetricReport(1.0, 1.0, 0.0, 0.0)),
+            ("s1", MetricReport(0.5, 0.25, 2.0, 3.0))]
+    mean = ("mean", aggregate_reports([r for _, r in rows]))
+    # a whole-number mean prints whole, a fractional one with two decimals
+    assert format_csv(rows + [mean]).splitlines()[-1] == "mean,75.00,62.50,1,1.50"

@@ -26,7 +26,6 @@ _KEYWORD_DEFAULTS = {
     ("flowgen", "refine_eval", "csv_path"),
     ("synth", "emit_samples", "n_bad"),
     ("synth", "emit_samples", "max_k"),
-    ("topology", "label_components", "connectivity"),
 }
 
 # (subcommand, option) -> the default of every value-taking option that has one

@@ -14,6 +14,7 @@ from vesseltopo.synth import (
     VesselParams,
     _disk_pixels,
     _local_halfwidth,
+    _skeleton_tangent,
     _tube_pixels,
     emit_samples,
     generate_vessel,
@@ -23,7 +24,7 @@ from vesseltopo.synth import (
     perturb_holes,
     perturb_merge,
 )
-from vesseltopo.topology import (TopologySummary, _euler_deltas, betti_numbers,
+from vesseltopo.topology import (_OFFS8, TopologySummary, _euler_deltas, betti_numbers,
                                  euler_characteristic)
 
 from tests import oracles
@@ -374,6 +375,20 @@ def test_local_halfwidth_matches_probe_loop():
         for y, x in np.ndindex(mask.shape):
             assert _local_halfwidth(mask, y, x) == local_halfwidth(mask, y, x), \
                 (mask.shape, y, x)
+
+
+def test_skeleton_tangent_matches_row_major_scan_on_every_code():
+    # The centre of a 3x3 skeleton with the neighbours of each code: the
+    # same direction, bit for bit, and the same rng draws, which happen
+    # only with fewer than two neighbours.
+    for code in range(256):
+        skel = np.zeros((3, 3), dtype=bool)
+        for i, (dy, dx) in enumerate(_OFFS8):
+            skel[1 + dy, 1 + dx] = bool(code >> i & 1)
+        got_rng, want_rng = np.random.default_rng(code), np.random.default_rng(code)
+        got = _skeleton_tangent(code, got_rng)
+        assert got == oracles.skeleton_tangent(skel, 1, 1, want_rng), code
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, code
 
 
 def test_invalid_params():

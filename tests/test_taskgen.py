@@ -178,7 +178,7 @@ def test_refinement_prompt_embeds_gt_counts(scene):
     assert "1 connected component" in rec.prompt
     assert "0 loops" in rec.prompt
     assert rec.target == "ref_gt.pgm" == rec.answer
-    assert rec.image_paths == ("image.pgm", "imperfect.pgm")
+    assert rec.images == ("image.pgm", "imperfect.pgm")
 
 
 def test_refinement_two_components_plural():

@@ -16,6 +16,7 @@ from vesseltopo.topology import (
     _PASS_STATUS,
     _PASSES,
     _code_image,
+    _neighbour_codes,
     _thin_pass,
     SIMPLE_LUT,
     TopologySummary,
@@ -48,7 +49,7 @@ masks_strategy = hnp.arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 1
 # ------------------------------ labeling --------------------------------- #
 
 def test_label_empty():
-    lab = label_components(np.zeros((3, 3), dtype=bool))
+    lab = label_components(np.zeros((3, 3), dtype=bool), 8)
     assert lab.count == 0
     assert not lab.labels.any()
     assert lab.sizes.size == 0
@@ -62,7 +63,7 @@ def test_label_diagonal_pixels():
 
 
 def test_label_full():
-    assert label_components(np.ones((5, 7), dtype=bool)).count == 1
+    assert label_components(np.ones((5, 7), dtype=bool), 8).count == 1
 
 
 def test_label_order_is_row_major_first_touch():
@@ -342,7 +343,7 @@ def test_matching_error_long_alternating_chain():
         gt[5, 6 * i + 3:6 * i + 7] = True
         if i:
             pred[:5, 6 * i] = True
-    assert label_components(pred).count == label_components(gt).count == n
+    assert label_components(pred, 8).count == label_components(gt, 8).count == n
     assert beta0_matching_error(pred, gt) == 0
     assert beta0_matching_error(gt, pred) == 0
     gt[5, 3:7] = False  # drop gt component 0: exactly one pred is left over
@@ -366,7 +367,7 @@ _mask_pairs = st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
 def test_matching_error_matches_bipartite_oracle_property(pair):
     pred, gt = pair
     assert beta0_matching_error(pred, gt) == oracle_matching_error(pred, gt)
-    lab_p, lab_g = label_components(pred), label_components(gt)
+    lab_p, lab_g = label_components(pred, 8), label_components(gt, 8)
     codes = topology._overlap_codes(pred & gt, lab_p.labels, lab_g.labels, lab_g.count)
     assert (np.diff(codes) > 0).all()
     got = {divmod(code, lab_g.count + 1) for code in codes.tolist()}
@@ -443,10 +444,8 @@ def test_code_image_and_pass_tables_match_brute_force():
         h, w = rng.integers(1, 11, size=2)
         m = rng.random((h, w)) < rng.uniform(0.3, 0.9)
         width = w + 4
-        framed = np.zeros((h + 4, width), dtype=bool)
-        framed[2:-2, 2:-2] = m
-        f = framed.ravel()
-        codes = _code_image(f, width)
+        f, codes = _code_image(m)
+        framed = f.reshape(h + 4, width)
         offsets = np.array([dy * width + dx for dy, dx in _OFFS8])
         ringed = framed[1:-1, 1:-1]  # a live view of the mask and the ring
         quiet = 0
@@ -470,6 +469,22 @@ def test_code_image_and_pass_tables_match_brute_force():
             if quiet == 4:
                 break
         assert np.array_equal(framed[2:-2, 2:-2], _reference_skeleton(m))
+
+
+def test_neighbour_codes_match_brute_force():
+    # Random masks of every density, and single rows and columns, where
+    # every pixel lies on an edge and off-canvas neighbours must read as
+    # background.
+    rng = np.random.default_rng(67)
+    shapes = [tuple(rng.integers(1, 13, size=2)) for _ in range(60)]
+    shapes += [(1, n) for n in range(1, 12)] + [(n, 1) for n in range(1, 12)]
+    for h, w in shapes:
+        for density in (0.0, rng.uniform(0.2, 0.8), 1.0):
+            m = rng.random((h, w)) < density
+            codes = _neighbour_codes(m)
+            assert codes.shape == (h, w) and codes.dtype == np.uint8
+            assert codes.tolist() == [[_code_at(m, y, x) for x in range(w)]
+                                      for y in range(h)], (h, w, density)
 
 
 def test_pass_tables_match_brute_force_on_every_neighbourhood():
@@ -580,7 +595,7 @@ def test_skeleton_matches_reference_across_both_code_updates(monkeypatch):
 
     def checked_pass(f, codes, fg, width, offsets, direction):
         gone = _thin_pass(f, codes, fg, width, offsets, direction)
-        assert np.array_equal(codes, _code_image(f, width))
+        assert np.array_equal(codes, _code_image(f.reshape(-1, width)[2:-2, 2:-2])[1])
         deleted.append(gone.size)
         return gone
 
