@@ -191,7 +191,8 @@ class TaskRecord:
     provenance: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # the fields as they are: asdict would deep-copy them only for dumps
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def _masks(image: GrayImage, *masks: BinaryMask) -> list[BinaryMask]:

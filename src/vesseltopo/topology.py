@@ -10,8 +10,8 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
   row above, from two binary searches over those endpoints. Each run hangs
   under the first of them, pointer jumping takes every run to its tree's
   top, and a union-find over tree tops alone joins the trees that runs with
-  two or more upper neighbours connect; each run's label is then repeated
-  over its length
+  two or more upper neighbours connect; the label image and sizes are
+  built from the runs' labels when first read
 * ``betti_numbers``     - beta0, beta1 and Euler characteristic chi = V-E+F
   from the same runs and pairs, with no per-run labels: beta0 is trees
   minus joins, chi is runs minus touching run pairs; trees are built and
@@ -20,7 +20,7 @@ for the Euler characteristic, where corner-touching pixels share a vertex.
 * ``count_loops``       - beta1 (equals the number of bounded 4-connected
   background components, the duality used as a test oracle)
 * ``beta0_number_error`` / ``beta0_matching_error`` - global and spatially
-  matched component-count discrepancies between two masks
+  matched component-count discrepancies between two masks, by run labels
 * ``skeletonize``       - topology-preserving thinning that removes simple
   points from per-pass candidate lists in a fixed row-major order,
   endpoints retained; it keeps an image of every pixel's neighbourhood
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +52,32 @@ _RING = (4, 2, 1, 0, 3, 5, 6, 7)
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Labels are 1..count in first-touched row-major order; 0 is background."""
+    """Labels are 1..count in first-touched row-major order; 0 is background.
 
-    labels: np.ndarray
+    The int32 image ``labels`` and the int64 pixel counts ``sizes`` are
+    built on first read from the runs and run labels kept here, never from
+    the labeled mask.
+    """
+
     count: int
-    sizes: np.ndarray
+    _shape: tuple[int, int]
+    _starts: np.ndarray
+    _lengths: np.ndarray
+    _run_labels: np.ndarray
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        h, w = self._shape
+        # +label at each run's start and -label one past its end, summed
+        steps = np.zeros(h * (w + 1), dtype=np.int32)
+        steps[self._starts] = self._run_labels
+        steps[self._starts + self._lengths] = -self._run_labels
+        return np.cumsum(steps, out=steps).reshape(h, w + 1)[:, :w].copy()
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self._run_labels, self._lengths,
+                           minlength=self.count + 1)[1:].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -110,33 +132,23 @@ _PASS_STATUS = _build_pass_status(_DELETABLE_LUT)
 _QUAD_WEIGHTS = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
-def _run_edges(m: np.ndarray) -> np.ndarray:
-    """Run starts and ends of a mask, alternating, in a row-padded flat index.
+def _runs(m: np.ndarray, conn8: bool) -> tuple[np.ndarray, ...]:
+    """Runs of foreground pixels, and the runs of the row above that each touches.
 
-    The index is that of a flat row-major copy with one background pixel in
-    front and one after every row, so that no run crosses a row; an end is
-    one past the run's last pixel. Pixel (y, x) has index y * (w + 1) + x.
+    Runs are numbered 0..n-1 in row-major order and indexed as a flat
+    row-major copy of the mask with one background pixel after every row,
+    pixel (y, x) at y * (w + 1) + x, so that no run crosses a row. Returns
+    each run's start and length; the first run ``lo[i]`` that run i touches
+    in the row above and the number ``n_upper[i]`` it touches there, which
+    are consecutive; and the runs that touch two or more.
     """
     h, w = m.shape
     width = w + 1
-    buf = np.zeros(h * width + 1, dtype=bool)
+    buf = np.zeros(h * width + 1, dtype=bool)  # a background pixel in front
     buf[1:].reshape(h, width)[:, :w] = m
-    return (buf[1:] != buf[:-1]).nonzero()[0]
-
-
-def _runs(m: np.ndarray, conn8: bool
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of foreground pixels, and the runs of the row above that each touches.
-
-    Runs are numbered 0..n-1 in row-major order. Returns the length of each
-    run; the first run ``lo[i]`` that run i touches in the row above and the
-    number ``n_upper[i]`` it touches there, which are consecutive; and the
-    runs that touch two or more.
-    """
-    width = m.shape[1] + 1
-    edges = _run_edges(m)
+    edges = (buf[1:] != buf[:-1]).nonzero()[0]  # starts and ends, alternating
     starts = edges[0::2]
-    ends = edges[1::2]
+    ends = edges[1::2]  # one past each run's last pixel
     # A run [s, e) touches the runs [s', e') of the row above whose columns
     # overlap its own, e' > s - width and s' < e - width, or under
     # 8-adjacency touch it at a corner too, e' >= s - width and
@@ -150,7 +162,7 @@ def _runs(m: np.ndarray, conn8: bool
         lo = ends.searchsorted(up[0::2], side="right")
         hi = starts.searchsorted(up[1::2], side="left")
     n_upper = hi - lo
-    return ends - starts, lo, n_upper, (n_upper > 1).nonzero()[0]
+    return starts, ends - starts, lo, n_upper, (n_upper > 1).nonzero()[0]
 
 
 def _label_runs(lo: np.ndarray, n_upper: np.ndarray, multi: np.ndarray, run: np.ndarray,
@@ -382,7 +394,7 @@ def label_components(mask: BinaryMask, connectivity: int) -> ComponentLabeling:
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
-    lengths, lo, n_upper, multi = _runs(m, connectivity == 8)
+    starts, lengths, lo, n_upper, multi = _runs(m, connectivity == 8)
     run = np.arange(lengths.size)
     root, hooked, _ = _label_runs(lo, n_upper, multi, run, m.shape[0])
     if hooked:
@@ -391,13 +403,8 @@ def label_components(mask: BinaryMask, connectivity: int) -> ComponentLabeling:
     # Number the roots in increasing order; every other run takes the
     # label of its root.
     roots = (root == run).nonzero()[0]
-    count = roots.size
-    run_labels = roots.searchsorted(root, side="right")
-    # Runs are in row-major order, as are the foreground pixels.
-    labels = np.zeros(m.shape, dtype=np.int32)
-    labels[m] = run_labels.repeat(lengths)
-    sizes = np.bincount(run_labels, lengths, minlength=count + 1)[1:].astype(np.int64)
-    return ComponentLabeling(labels=labels, count=count, sizes=sizes)
+    return ComponentLabeling(roots.size, m.shape, starts, lengths,
+                             roots.searchsorted(root, side="right"))
 
 
 def _quad_codes(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -464,7 +471,7 @@ def betti_numbers(mask: BinaryMask) -> TopologySummary:
     ``euler_characteristic``.
     """
     m = as_mask(mask)
-    lengths, lo, n_upper, multi = _runs(m, True)
+    _, lengths, lo, n_upper, multi = _runs(m, True)
     beta0 = euler = lengths.size - int(np.count_nonzero(n_upper))  # trees
     if multi.size:
         _, hooked, n_extra = _label_runs(lo, n_upper, multi, np.arange(lengths.size),
@@ -487,18 +494,18 @@ def beta0_number_error(pred: BinaryMask, gt: BinaryMask) -> int:
     return abs(label_components(p, 8).count - label_components(g, 8).count)
 
 
-def _overlap_codes(both: np.ndarray, labels_p: np.ndarray, labels_g: np.ndarray,
-                   n_g: int) -> np.ndarray:
-    """The distinct codes label_p * (n_g + 1) + label_g over the pixels of
-    ``both`` = pred & gt, in increasing order.
+def _overlap_codes(lab_p: ComponentLabeling, lab_g: ComponentLabeling) -> np.ndarray:
+    """The distinct codes label_p * (n_g + 1) + label_g over the pixels that
+    pred and gt share, in increasing order, where n_g = ``lab_g.count``.
 
-    Each run of ``both`` lies inside one run of pred and one of gt, so
-    inside one component of each: its first pixel stands for all of it.
+    Pred run i shares pixels with the ``n[i]`` gt runs from ``lo[i]`` on, the
+    ones that end after it starts and start before it ends: runs are sorted
+    and disjoint, so each bound is one binary search, with no pixel read.
     """
-    starts = _run_edges(both)[0::2]
-    first = starts - starts // (both.shape[1] + 1)  # flat index in the mask
-    codes = np.sort(labels_p.ravel()[first].astype(np.int64) * (n_g + 1)
-                    + labels_g.ravel()[first])
+    lo = (lab_g._starts + lab_g._lengths).searchsorted(lab_p._starts, side="right")
+    n = lab_g._starts.searchsorted(lab_p._starts + lab_p._lengths) - lo
+    in_g = np.arange(n.sum()) + (lo - n.cumsum() + n).repeat(n)
+    codes = np.sort(lab_p._run_labels.repeat(n) * (lab_g.count + 1) + lab_g._run_labels[in_g])
     keep = np.ones(codes.size, dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
     return codes[keep]
@@ -519,7 +526,7 @@ def beta0_matching_error(pred: BinaryMask, gt: BinaryMask) -> int:
     n_p, n_g = lab_p.count, lab_g.count
     if n_p == 0 or n_g == 0:
         return n_p + n_g
-    codes = _overlap_codes(p & g, lab_p.labels, lab_g.labels, n_g)
+    codes = _overlap_codes(lab_p, lab_g)
     adj: list[list[int]] = [[] for _ in range(n_p)]
     for code in codes.tolist():
         adj[code // (n_g + 1) - 1].append(code % (n_g + 1) - 1)

@@ -88,24 +88,23 @@ def test_label_invalid_connectivity():
 def test_label_matches_oracle_exhaustive_3x3():
     bits = np.arange(9)
     for code in range(512):
-        m = ((code >> bits) & 1).astype(bool).reshape(3, 3)
-        for conn in (4, 8):
-            lab = label_components(m, conn)
-            ref_labels, ref_count = naive_flood_labels(m, conn)
-            assert lab.count == ref_count
-            assert np.array_equal(lab.labels, ref_labels)
-            assert lab.sizes.sum() == m.sum()
+        _agrees_with_oracles(((code >> bits) & 1).astype(bool).reshape(3, 3))
+
+
+def test_labels_ignore_later_edits_of_the_mask():
+    m = np.random.default_rng(22).random((9, 14)) < 0.5
+    ref_labels, ref_count = naive_flood_labels(m, 8)
+    lab = label_components(m, 8)
+    m[:] = ~m  # bool input is labeled in place, not copied
+    assert np.array_equal(lab.labels, ref_labels)
+    assert lab.sizes.tolist() == np.bincount(
+        ref_labels.ravel(), minlength=ref_count + 1)[1:].tolist()
 
 
 def test_label_matches_oracle_random_8x8():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        m = rng.random((8, 8)) < rng.uniform(0.2, 0.8)
-        for conn in (4, 8):
-            lab = label_components(m, conn)
-            ref_labels, ref_count = naive_flood_labels(m, conn)
-            assert lab.count == ref_count
-            assert np.array_equal(lab.labels, ref_labels)
+        _agrees_with_oracles(rng.random((8, 8)) < rng.uniform(0.2, 0.8))
 
 
 def _staircase(n, step, width):
@@ -120,11 +119,14 @@ def _staircase(n, step, width):
 
 def _agrees_with_oracles(m):
     """Labels at both connectivities and all three Betti counts, each against
-    an oracle that shares no code with the run-pair finder."""
+    an oracle that shares no code with the run-pair finder. The label image
+    and sizes are built from the labeling's runs on first read, so their
+    dtypes and the image's C-contiguous (H, W) layout are checked too."""
     for conn in (4, 8):
         lab = label_components(m, conn)
         ref_labels, ref_count = naive_flood_labels(m, conn)
         assert lab.labels.dtype == np.int32 and lab.sizes.dtype == np.int64
+        assert lab.labels.flags.c_contiguous
         assert lab.count == ref_count, conn
         assert np.array_equal(lab.labels, ref_labels), conn
         assert lab.sizes.tolist() == np.bincount(
@@ -368,10 +370,49 @@ def test_matching_error_matches_bipartite_oracle_property(pair):
     pred, gt = pair
     assert beta0_matching_error(pred, gt) == oracle_matching_error(pred, gt)
     lab_p, lab_g = label_components(pred, 8), label_components(gt, 8)
-    codes = topology._overlap_codes(pred & gt, lab_p.labels, lab_g.labels, lab_g.count)
+    codes = topology._overlap_codes(lab_p, lab_g)
     assert (np.diff(codes) > 0).all()
     got = {divmod(code, lab_g.count + 1) for code in codes.tolist()}
     assert got == overlap_pairs(pred, gt)
+
+
+def _overlap_cases():
+    rng = np.random.default_rng(23)
+    row_p, row_g = rng.random((1, 40)) < 0.6, rng.random((1, 40)) < 0.6
+    stripes = np.zeros((6, 7), dtype=bool)
+    stripes[0::2] = True
+    return {
+        "1xN": (row_p, row_g),
+        "Nx1": (row_p.T.copy(), row_g.T.copy()),
+        "1xN full against runs": (np.ones((1, 40), bool), row_g),
+        "empty": (np.zeros((4, 5), bool), np.zeros((4, 5), bool)),
+        "empty pred": (np.zeros((4, 5), bool), np.ones((4, 5), bool)),
+        "full": (np.ones((4, 5), bool), np.ones((4, 5), bool)),
+        "disjoint": (stripes, ~stripes),
+        "random": (rng.random((11, 13)) < 0.5, rng.random((11, 13)) < 0.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_overlap_cases()))
+def test_overlap_codes_find_the_runs_of_both_labelings(case):
+    # each pred run finds the gt runs it overlaps by binary search over their
+    # ends and starts; compared with the pairs read pixel by pixel
+    pred, gt = _overlap_cases()[case]
+    lab_p, lab_g = label_components(pred, 8), label_components(gt, 8)
+    codes = topology._overlap_codes(lab_p, lab_g)
+    assert (np.diff(codes) > 0).all()
+    assert {divmod(c, lab_g.count + 1) for c in codes.tolist()} == overlap_pairs(pred, gt)
+
+
+def test_beta0_errors_never_fill_a_label_image(monkeypatch):
+    def filled(self):
+        raise AssertionError("a beta0 error read a label image or sizes")
+    monkeypatch.setattr(topology.ComponentLabeling, "labels", property(filled))
+    monkeypatch.setattr(topology.ComponentLabeling, "sizes", property(filled))
+    for pred, gt in _overlap_cases().values():
+        assert beta0_number_error(pred, gt) == abs(
+            naive_flood_labels(pred, 8)[1] - naive_flood_labels(gt, 8)[1])
+        assert beta0_matching_error(pred, gt) == oracle_matching_error(pred, gt)
 
 
 def test_matching_error_empty_sides():
