@@ -78,13 +78,6 @@ def _config(config_class, args: argparse.Namespace, **fixed):
     return build_config(config_class, {**file_cfg, **given, **fixed})
 
 
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    write_atomic(path, text.encode("utf-8"))
-
-
 def _load_triples(data_dir, limit) -> list:
     """Load (image, imperfect, gt) triples from a synth output directory.
 
@@ -134,7 +127,10 @@ def cmd_metrics(args) -> None:
         gt = load_mask(os.path.join(args.gt, name))
         rows.append((name, metric_report(pred, gt)))
     rows.append(("mean", aggregate_reports([r for _, r in rows])))
-    _write_text(args.out, format_csv(rows))
+    if args.out is None:
+        sys.stdout.write(format_csv(rows))
+    else:
+        write_atomic(args.out, format_csv(rows).encode("utf-8"))
 
 
 def cmd_synth(args) -> None:
@@ -185,10 +181,9 @@ def cmd_refine(args) -> None:
     model, _ = load_checkpoint(args.checkpoint)
     agg_in, agg_out = refine_eval(model, triples, csv_path=args.out,
                                   **_given(args, "steps", "seed"))
-    print(f"input:   dice={100 * agg_in.dice:.2f} cldice={100 * agg_in.cl_dice:.2f} "
-          f"beta0_num={agg_in.beta0_num:.2f} beta0_mat={agg_in.beta0_mat:.2f}")
-    print(f"refined: dice={100 * agg_out.dice:.2f} cldice={100 * agg_out.cl_dice:.2f} "
-          f"beta0_num={agg_out.beta0_num:.2f} beta0_mat={agg_out.beta0_mat:.2f}")
+    for label, agg in (("input:", agg_in), ("refined:", agg_out)):
+        print(f"{label:9}dice={100 * agg.dice:.2f} cldice={100 * agg.cl_dice:.2f} "
+              f"beta0_num={agg.beta0_num:.2f} beta0_mat={agg.beta0_mat:.2f}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 
 import numpy as np
 
@@ -74,24 +75,17 @@ def write_atomic(path, data: bytes) -> None:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
+# Whitespace and # comments, then one token. The lookahead makes a comment run
+# to CR, LF or the end, so no token is ever read from inside a comment.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+
+
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     """Return the next whitespace-delimited header token, skipping # comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    found = _HEADER_TOKEN.match(buf, pos)
+    if found is None:
         raise FormatError("truncated PGM header")
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace() and buf[pos:pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
+    return found[1], found.end()
 
 
 def _read_pgm(path) -> tuple[np.ndarray, int]:

@@ -96,10 +96,13 @@ def _format_count(value: float) -> str:
 def format_csv(named_reports: Iterable[tuple[str, MetricReport]]) -> str:
     """One CSV row per named report, in order: ratios as percentages with 2
     decimals, counts whole when whole and with 2 decimals otherwise. A mean
-    row is one more named report, from ``aggregate_reports``."""
+    row is one more named report, from ``aggregate_reports``. A name holding
+    a comma, a quote, CR or LF is quoted, its quotes doubled (RFC 4180)."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for name, r in named_reports:
+        if any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
         out.write(
             f"{name},{100.0 * r.dice:.2f},{100.0 * r.cl_dice:.2f},"
             f"{_format_count(r.beta0_num)},{_format_count(r.beta0_mat)}\n"

@@ -158,18 +158,14 @@ TEMPLATES: dict[str, list[str]] = {
 _PLACEHOLDER = re.compile(r"\\\{[a-z_]+\\\}")
 
 
-def template_regex(template: str) -> re.Pattern:
-    """Full-match regex accepting the template with all placeholders filled.
+def prompt_is_well_formed(pool: str, prompt: str, index: int) -> bool:
+    """Check a prompt against template ``index`` of ``pool``, placeholders filled.
 
     Filled text may not contain braces, so a prompt built from an unfilled
     template does not count as well formed.
     """
-    return re.compile(_PLACEHOLDER.sub("([^{}]+?)", re.escape(template)) + r"\Z")
-
-
-def prompt_is_well_formed(pool: str, prompt: str, index: int) -> bool:
-    """Check a prompt against template ``index`` of ``pool``."""
-    return template_regex(TEMPLATES[pool][index]).match(prompt) is not None
+    pattern = _PLACEHOLDER.sub("([^{}]+?)", re.escape(TEMPLATES[pool][index]))
+    return re.fullmatch(pattern, prompt) is not None
 
 
 def _plural(n: int, noun: str) -> str:

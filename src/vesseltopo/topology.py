@@ -574,18 +574,3 @@ def skeletonize(mask: BinaryMask) -> BinaryMask:
     """
     return _thin(as_mask(mask))
 
-
-def is_simple_point(mask: BinaryMask, y: int, x: int) -> bool:
-    """True iff deleting foreground pixel (y, x) preserves local topology."""
-    m = as_mask(mask)
-    h, w = m.shape
-    if not (0 <= y < h and 0 <= x < w):
-        raise IndexError(f"({y}, {x}) is outside the {h}x{w} mask")
-    if not m[y, x]:
-        raise ValueError(f"({y}, {x}) is not a foreground pixel")
-    code = 0
-    for i, (dy, dx) in enumerate(_OFFS8):
-        ny, nx = y + dy, x + dx
-        if 0 <= ny < h and 0 <= nx < w and m[ny, nx]:
-            code |= 1 << i
-    return bool(SIMPLE_LUT[code])

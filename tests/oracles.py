@@ -16,13 +16,17 @@ edit recounts after every proposed pixel, as the simple-point test of
 ``synth.perturb_dilate_noise`` must reproduce exactly, and the reference 3x3
 convolution is the einsum form whose bits the matrix products of
 ``flowgen._conv3``, ``flowgen._conv3_param_grads`` and
-``flowgen._conv3_input_grad`` must reproduce.
+``flowgen._conv3_input_grad`` must reproduce. The reference PGM header
+tokenizer is the byte-by-byte scanner whose tokens, end positions and
+errors the compiled pattern of ``maskio._next_token`` must reproduce.
 """
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from vesseltopo.errors import FormatError
 
 _OFFS = {
     8: [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
@@ -411,3 +415,23 @@ def einsum_conv3_input_grad(weight, dout):
                 "fc,fhw->chw", weight[:, :, i, j], dout, optimize=True
             )
     return dxp[:, 1:-1, 1:-1]
+
+
+def next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """Return the next whitespace-delimited header token, skipping # comments."""
+    n = len(buf)
+    while pos < n:
+        c = buf[pos:pos + 1]
+        if c == b"#":
+            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise FormatError("truncated PGM header")
+    start = pos
+    while pos < n and not buf[pos:pos + 1].isspace() and buf[pos:pos + 1] != b"#":
+        pos += 1
+    return buf[start:pos], pos

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -42,6 +44,9 @@ _MALFORMED_PGMS = {
     "negative_width": (b"P5\n-1 2\n255\n" + bytes(4), "malformed header token b'-1'"),
     "short_payload": (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM payload"),
     "huge_header": (b"P5\n100000 100000\n255\n" + bytes(10), "truncated PGM payload"),
+    "comment_to_eof": (b"P5\n2 2\n# maxval never comes", "truncated PGM header"),
+    "comment_after_maxval": (b"P5\n2 2\n255#c\n" + bytes(4),
+                             "missing whitespace after maxval"),
     "above_maxval_8bit": (b"P5\n2 2\n200\n" + bytes([0, 201, 0, 0]),
                           "image intensities must lie in [0, 1]"),
     "above_maxval_16bit": (b"P5\n2 2\n1000\n" + bytes(6) + (1001).to_bytes(2, "big"),
@@ -99,6 +104,23 @@ def test_metrics_pred_equals_gt(capsys, tmp_path):
     assert out[0] == "sample,dice,cldice,beta0_num,beta0_mat"
     assert out[1] == "s.pgm,100.00,100.00,0,0"
     assert out[2] == "mean,100.00,100.00,0,0"
+
+
+def test_metrics_quotes_names_that_hold_csv_delimiters(tmp_path):
+    names = ["a,b.pgm", "n\nl.pgm", 'q"t.pgm', "s.pgm"]
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+        for name in names:
+            save_mask(np.eye(5, dtype=bool), tmp_path / sub / name)
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '\n"a,b.pgm",100.00,100.00,0,0\n"n\nl.pgm",' in text
+    assert '\n"q""t.pgm",100.00,100.00,0,0\ns.pgm,100.00,100.00,0,0\n' in text
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [row[0] for row in rows[1:]] == names + ["mean"]
+    assert {len(row) for row in rows} == {5}
 
 
 @pytest.mark.parametrize("cuts, mean", [((0, 1), "0.50"), ((0, 1, 2), "1")])

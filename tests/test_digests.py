@@ -1,14 +1,17 @@
-"""SHA-256 of every file the command line writes, on tiny fixed inputs.
+"""SHA-256 of every file the command line writes, and every line it prints,
+on tiny fixed inputs.
 
 ``synth``, ``taskgen --verify``, ``metrics``, ``topology``, a 20-step
 ``train`` and ``refine`` run in-process, each with its defaults except for
 canvas size, counts and steps. A change that keeps every output
-byte-identical leaves this table as it is; one that changes an output
+byte-identical leaves these tables as they are; one that changes an output
 byte changes an entry here, and says why. Trained bytes also depend on the
 BLAS kernel that runs, so a failure names the numpy and BLAS builds.
 """
 
+import contextlib
 import hashlib
+import io
 import shutil
 
 import numpy as np
@@ -53,12 +56,17 @@ def _builds() -> str:
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run every file-writing subcommand once; return their output root."""
+    """Run every file-writing subcommand once; return their output root and
+    the lines each printed, by subcommand."""
     root = tmp_path_factory.mktemp("digests")
     data = root / "data"
+    printed = {}
 
     def run(*argv):
-        assert main([str(a) for a in argv]) == 0, argv
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([str(a) for a in argv]) == 0, argv
+        printed[argv[0]] = out.getvalue().splitlines()
 
     run("synth", "--out", data, "--count", "2", "--seed", "2", "--width", "32",
         "--height", "32", "--radius", "1.6", "--depth", "3")
@@ -76,19 +84,36 @@ def outputs(tmp_path_factory):
     run("train", "--data", data, "--checkpoint", root / "ck.json", "--steps", "20")
     run("refine", "--checkpoint", root / "ck.json", "--data", data,
         "--out", root / "refine.csv")
-    return root
+    return root, printed
 
 
 def test_topology_output_is_pinned(outputs, capsys):
+    root, _ = outputs
     capsys.readouterr()
-    assert main(["topology", str(outputs / "data" / "00000_bad0.pgm")]) == 0
+    assert main(["topology", str(root / "data" / "00000_bad0.pgm")]) == 0
     assert capsys.readouterr().out == "beta0=1 beta1=3 euler=-2\n", _builds()
 
 
+def test_every_printed_line_is_pinned(outputs):
+    root, printed = outputs
+    assert printed == {
+        "synth": [str(root / "data" / "manifest.jsonl")],
+        "taskgen": [str(root / "ds" / "manifest.jsonl"),
+                    'verified 5 records, 0 mismatches, per kind {"better_choice": 1, '
+                    '"quality_judgement": 1, "refinement": 1, "structure_counting": 1, '
+                    '"structure_judgement": 1}'],
+        "metrics": [],
+        "train": ["trained 20 steps on 2 triples, final loss 2.71665", str(root / "ck.json")],
+        "refine": ["input:   dice=93.18 cldice=66.67 beta0_num=0.00 beta0_mat=0.00",
+                   "refined: dice=8.36 cldice=6.67 beta0_num=74.50 beta0_mat=74.50"],
+    }, _builds()
+
+
 def test_every_output_file_is_pinned(outputs):
-    got = {path.relative_to(outputs).as_posix():
+    root, _ = outputs
+    got = {path.relative_to(root).as_posix():
            hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(outputs.rglob("*")) if path.is_file()}
+           for path in sorted(root.rglob("*")) if path.is_file()}
     changed = sorted(name for name in got.keys() | _SHA256.keys()
                      if got.get(name) != _SHA256.get(name))
     assert not changed, f"{_builds()}: outputs differ from the pinned table: {changed}"

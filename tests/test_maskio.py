@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vesseltopo.errors import FormatError
-from vesseltopo.maskio import (as_gray, as_mask, load_image, load_mask, save_image,
-                               save_mask, threshold)
+from vesseltopo.maskio import (_next_token, as_gray, as_mask, load_image, load_mask,
+                               save_image, save_mask, threshold)
 from vesseltopo.metrics import metric_report
 from vesseltopo.synth import (VesselParams, generate_vessel, perturb_dilate_noise,
                               perturb_disconnect, perturb_holes, perturb_merge)
 from vesseltopo.topology import betti_numbers, label_components, skeletonize
+
+from tests.oracles import next_token
 
 
 def _write(path, payload: bytes):
@@ -42,6 +44,24 @@ def test_header_comments_are_skipped(tmp_path):
                b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([10, 20]))
     img = load_image(p)
     assert img.shape == (1, 2)
+
+
+def _header_walk(scan, buf: bytes, pos: int) -> list:
+    """Every (token, end) that ``scan`` reads from ``pos`` on, then its error."""
+    walk = []
+    while True:
+        try:
+            token, pos = scan(buf, pos)
+        except FormatError as exc:
+            return walk + [str(exc)]
+        walk.append((token, pos))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.lists(st.sampled_from(b"P50123456789x# \t\n\r\x0b\x0c"), max_size=24)
+       .map(bytes), st.integers(0, 25))
+def test_next_token_matches_the_reference_scanner(buf, pos):
+    assert _header_walk(_next_token, buf, pos) == _header_walk(next_token, buf, pos)
 
 
 def test_sixteen_bit_payload(tmp_path):

@@ -1,8 +1,11 @@
-"""Source checks that a linter would make: no unused import and no unused
-private module-level name in the package.
+"""Source checks that a linter would make: no unused import, no unused
+private module-level name and no unused public function or class in the
+package.
 
 A name counts as used when its module loads it anywhere, lists it in
 ``__all__``, or, for a private name, when another package module imports it.
+A public function or class counts as used when any package module loads it
+or lists it in ``__all__``.
 """
 
 import ast
@@ -11,6 +14,8 @@ import pathlib
 import vesseltopo
 
 _PACKAGE = pathlib.Path(vesseltopo.__file__).parent
+# Public API that no package module loads, kept for the acceptance suite.
+_KEPT_API = {"prompt_is_well_formed", "training_loss_and_grads", "weighted_flow_loss"}
 
 
 def _parse_package() -> dict:
@@ -78,3 +83,13 @@ def test_no_unused_private_module_names():
               for name, line in _private_definitions(tree)
               if name not in _loaded(tree) and (stem, name) not in imported_elsewhere]
     assert not unused, f"unused private module-level names: {unused}"
+
+
+def test_no_unused_public_functions_or_classes():
+    trees = _parse_package()
+    loaded = set().union(*map(_loaded, trees.values()))
+    unused = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in loaded}
+    assert unused == _KEPT_API, (f"unused public names: {sorted(unused - _KEPT_API)}; "
+                                 f"kept API now used: {sorted(_KEPT_API - unused)}")

@@ -25,7 +25,6 @@ from vesseltopo.topology import (
     betti_numbers,
     count_loops,
     euler_characteristic,
-    is_simple_point,
     label_components,
     skeletonize,
 )
@@ -681,7 +680,7 @@ def test_simple_lut_against_betti_delta_oracle():
             continue
         y, x = fg[rng.integers(len(fg))]
         db0, db1 = betti_delta_after_removal(m, int(y), int(x))
-        assert is_simple_point(m, int(y), int(x)) == (db0 == 0 and db1 == 0)
+        assert SIMPLE_LUT[_neighbour_codes(m)[y, x]] == (db0 == 0 and db1 == 0)
         checked += 1
     border = np.ones((6, 6), dtype=bool)
     border[1:-1, 1:-1] = False
@@ -694,17 +693,8 @@ def test_simple_lut_against_betti_delta_oracle():
         grown = m.copy()
         grown[y, x] = True
         db0, db1 = betti_delta_after_removal(grown, y, x)
-        assert is_simple_point(grown, y, x) == (db0 == 0 and db1 == 0)
+        assert SIMPLE_LUT[_neighbour_codes(grown)[y, x]] == (db0 == 0 and db1 == 0)
         added += 1
-
-
-def test_is_simple_point_rejects_coordinates_outside_the_mask():
-    m = np.zeros((3, 5), dtype=bool)
-    m[2] = True
-    assert is_simple_point(m, 2, 0)
-    for y, x in ((-1, 0), (3, 0), (2, -5), (2, -1), (2, 5)):
-        with pytest.raises(IndexError):
-            is_simple_point(m, y, x)
 
 
 def test_simple_point_tables_match_ring_search_on_every_code():
